@@ -17,45 +17,25 @@ from pathlib import Path
 from . import experiment as exp
 from . import mlp, pricing, tail
 from .gpd import GpdParams, gpd_sample
+from .textio import read_key_values
 
 FIT_FILE_KEYS = ("n", "k", "u", "xstar_hat", "gamma_hat", "sigma_u")
+# TrainConfig fields that ``train`` takes from the flags of the same name.
+_TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed")
 
 
 def _fit_text(fit: tail.TailFit) -> str:
-    lines = [
-        f"n = {fit.n}",
-        f"k = {fit.k}",
-        f"u = {fit.u!r}",
-        f"xstar_hat = {fit.xstar_hat!r}",
-        f"gamma_hat = {fit.gamma_hat!r}",
-        f"sigma_u = {fit.sigma_u!r}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {getattr(fit, key)!r}\n" for key in FIT_FILE_KEYS)
 
 
 def _read_fit_file(path) -> tail.TailFit:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value', got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    missing = [k for k in FIT_FILE_KEYS if k not in values and k != "sigma_u"]
+    values = read_key_values(path)
+    fields = FIT_FILE_KEYS[:-1]  # TailFit derives sigma_u from the others
+    missing = [key for key in fields if key not in values]
     if missing:
         raise ValueError(f"{path}: missing fit fields: {', '.join(missing)}")
-    return tail.TailFit(
-        n=int(values["n"]),
-        k=int(values["k"]),
-        u=float(values["u"]),
-        xstar_hat=float(values["xstar_hat"]),
-        gamma_hat=float(values["gamma_hat"]),
-    )
+    n, k, *floats = (values[key] for key in fields)
+    return tail.TailFit(int(n), int(k), *map(float, floats))
 
 
 def _cmd_price(args) -> int:
@@ -73,16 +53,10 @@ def _cmd_price(args) -> int:
 
 def _cmd_train(args) -> int:
     contracts, prices = pricing.read_priced_csv(args.data)
-    widths = (5, 300, 300, 300, 1) if args.paper_scale else tuple(
+    widths = exp.paper_scale_config().widths if args.paper_scale else tuple(
         int(w) for w in args.widths.split(",")
     )
-    config = mlp.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        validation_fraction=args.validation_fraction,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-    )
+    config = mlp.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
     model, report = mlp.train(mlp.LabeledSet(contracts, prices), widths, config)
     mlp.save_model(model, args.out)
     print(f"model written to {args.out}")
@@ -144,15 +118,8 @@ def _cmd_gpd_sample(args) -> int:
 def _cmd_experiment(args) -> int:
     base = exp.paper_scale_config() if args.paper_scale else exp.desk_scale_config()
     config = exp.load_config(args.config, base=base) if args.config else base
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
+    overrides = {"master_seed": args.seed, "k": args.k, "output_dir": args.out}
+    config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
     report = exp.run_experiment(config, workers=args.workers)
     out = Path(config.output_dir)
     print(f"fitted_sets = {len(report.exceed_at_u_ref)} of {config.test_sets}")
@@ -184,16 +151,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=pricing.DEFAULT_TREE_STEPS)
     p.set_defaults(func=_cmd_price)
 
+    train_defaults = mlp.TrainConfig()
     p = sub.add_parser("train", help="train a surrogate on a priced CSV")
     p.add_argument("--data", required=True, help="CSV with header K,T,r,q,sigma,price")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--widths", default="5,64,64,64,1")
-    p.add_argument("--paper-scale", action="store_true", help="use widths 5,300,300,300,1")
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--validation-fraction", type=float, default=0.2)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--widths", default=",".join(map(str, exp.ExperimentConfig().widths)))
+    p.add_argument("--paper-scale", action="store_true", help="use the paper-scale widths")
+    for name in _TRAIN_FLAGS:
+        default = getattr(train_defaults, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("errors", help="absolute errors of a model on a priced CSV")

@@ -18,13 +18,15 @@ timestamps, which makes reruns byte-identical.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .mlp import LabeledSet, MlpModel, TrainConfig, TrainingReport, error_sample, train
+from .mlp import (
+    LabeledSet, TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
+)
 from .pricing import C_TEST, C_TRAIN, price_contracts, sample_uniform
 from .rng import stage_seed
 from .tail import (
@@ -37,6 +39,7 @@ from .tail import (
     tail_fit,
     write_error_csv,
 )
+from .textio import parse_key_values, read_key_values, read_table, write_table
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -58,14 +61,49 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        for name in ("train_samples", "test_sets", "test_set_size", "k", "tree_steps"):
+        """Reject settings the run would fail on, before any pricing."""
+        for name in ("train_samples", "test_sets", "test_set_size", "tree_steps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
         if 2 * self.k > self.test_set_size:
             raise ValueError(
                 f"need 2k <= test_set_size, got k={self.k}, "
                 f"test_set_size={self.test_set_size}"
             )
+        check_widths(self.widths, len(C_TRAIN.lower))
+        split_sizes(self.train_samples, self.train_config)
+
+
+# The configuration file's fields in file order: key, the dataclass holding
+# the field, and the parser of its text.
+_CONFIG_FIELDS = (
+    ("train_samples", ExperimentConfig, int),
+    ("test_sets", ExperimentConfig, int),
+    ("test_set_size", ExperimentConfig, int),
+    ("k", ExperimentConfig, int),
+    ("tree_steps", ExperimentConfig, int),
+    ("widths", ExperimentConfig, lambda text: tuple(int(w) for w in text.split(","))),
+    ("epochs", TrainConfig, int),
+    ("batch_size", TrainConfig, int),
+    ("validation_fraction", TrainConfig, float),
+    ("learning_rate", TrainConfig, float),
+    ("adam_beta1", TrainConfig, float),
+    ("adam_beta2", TrainConfig, float),
+    ("adam_epsilon", TrainConfig, float),
+    ("master_seed", ExperimentConfig, int),
+    ("output_dir", ExperimentConfig, str),
+)
+
+
+def _config_items(config: ExperimentConfig) -> dict[str, str]:
+    """Every configuration file field of ``config`` as text, in file order."""
+    items = {}
+    for key, owner, _ in _CONFIG_FIELDS:
+        value = getattr(config.train_config if owner is TrainConfig else config, key)
+        items[key] = ",".join(map(str, value)) if key == "widths" else str(value)
+    return items
 
 
 def desk_scale_config(**overrides) -> ExperimentConfig:
@@ -128,10 +166,10 @@ class ExperimentReport:
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
-    """Fraction of pooled errors strictly exceeding x."""
+    """Fraction of pooled errors strictly exceeding x; rejects negative and NaN x."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    if np.any(arr < 0.0):
+    if not np.all(arr >= 0.0):
         raise ValueError("x must be nonnegative")
     above = all_errors.n - np.searchsorted(all_errors.values, arr, side="right")
     out = above / all_errors.n
@@ -273,7 +311,7 @@ def figure_rows(report: ExperimentReport, grid) -> list[FigureRow]:
         raise ValueError("grid must be sorted ascending")
     if grid[0] < report.u_ref:
         raise ValueError(
-            f"grid starts at {grid[0]!r}, below the reference threshold "
+            f"grid starts at {float(grid[0])!r}, below the reference threshold "
             f"{report.u_ref!r}"
         )
     good = [
@@ -314,26 +352,10 @@ def format_probability(p: float) -> str:
 
 
 def _config_comments(report: ExperimentReport) -> dict:
-    cfg = report.config
-    tc = cfg.train_config
-    return {
-        "config_version": CONFIG_VERSION,
-        "train_samples": cfg.train_samples,
-        "test_sets": cfg.test_sets,
-        "test_set_size": cfg.test_set_size,
-        "k": cfg.k,
-        "tree_steps": cfg.tree_steps,
-        "widths": ",".join(str(w) for w in cfg.widths),
-        "epochs": tc.epochs,
-        "batch_size": tc.batch_size,
-        "validation_fraction": repr(tc.validation_fraction),
-        "learning_rate": repr(tc.learning_rate),
-        "adam_beta1": repr(tc.adam_beta1),
-        "adam_beta2": repr(tc.adam_beta2),
-        "adam_epsilon": repr(tc.adam_epsilon),
-        "master_seed": cfg.master_seed,
-        "train_seed": report.resolved_train_seed,
-    }
+    comments = {"config_version": CONFIG_VERSION, **_config_items(report.config)}
+    del comments["output_dir"]
+    comments["train_seed"] = report.resolved_train_seed
+    return comments
 
 
 def emit_figure_csv(report: ExperimentReport, grid, path=None) -> Path:
@@ -341,46 +363,17 @@ def emit_figure_csv(report: ExperimentReport, grid, path=None) -> Path:
     ``#`` comment lines above the fixed header."""
     if path is None:
         path = Path(report.config.output_dir) / "figure1.csv"
-    rows = figure_rows(report, grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in _config_comments(report).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(FIGURE_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                f"{row.x!r},{format_probability(row.evt_mean)},"
-                f"{format_probability(row.evt_lo)},{format_probability(row.evt_hi)},"
-                f"{format_probability(row.empirical_pooled)},"
-                f"{format_probability(row.markov_m2)},"
-                f"{format_probability(row.markov_m4)}\n"
-            )
+    rows = (
+        ",".join([repr(row.x), *map(format_probability, astuple(row)[1:])])
+        for row in figure_rows(report, grid)
+    )
+    write_table(path, FIGURE_HEADER, rows, _config_comments(report))
     return Path(path)
 
 
 def read_figure_csv(path) -> list[FigureRow]:
     """Read back a figure CSV written by :func:`emit_figure_csv`."""
-    rows: list[FigureRow] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                if line != FIGURE_HEADER:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header {FIGURE_HEADER!r}"
-                    )
-                header = line
-                continue
-            fields = line.split(",")
-            if len(fields) != 7:
-                raise ValueError(f"{path}: line {lineno}: expected 7 columns")
-            values = [float(f) for f in fields]
-            rows.append(FigureRow(*values))
-    if header is None:
-        raise ValueError(f"{path}: missing figure header")
-    return rows
+    return [FigureRow(*values) for _, values in read_table(path, FIGURE_HEADER)]
 
 
 def write_report(report: ExperimentReport, path) -> Path:
@@ -439,81 +432,36 @@ def load_report_tables(path) -> tuple[dict, list[dict]]:
 
     Degenerate sets appear in the fit rows with ``n`` set to None.
     """
-    keyvals: dict[str, str] = {}
+    keyval_lines: list[tuple[int, str]] = []
     sets: list[dict] = []
-    section = None
-    set_header: list[str] | None = None
+    section = set_header = None
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1]
-                set_header = None
-                continue
-            if section == "sets":
+            elif section != "sets":
+                keyval_lines.append((lineno, line))
+            elif line and set_header is None:
+                set_header = line.split(",")
+            elif line:
                 fields = line.split(",")
-                if set_header is None:
-                    set_header = fields
-                    continue
-                row: dict = {"index": int(fields[0])}
-                if fields[1] == "degenerate":
-                    row["n"] = None
-                else:
-                    row["n"] = int(fields[1])
-                    row["k"] = int(fields[2])
-                    for name, value in zip(set_header[3:], fields[3:]):
-                        row[name] = float(value)
+                if len(fields) != len(set_header):
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {len(set_header)} fields"
+                    )
+                row: dict = {"index": int(fields[0]), "n": None}
+                if fields[1] != "degenerate":
+                    row.update(zip(set_header[1:3], map(int, fields[1:3])))
+                    row.update(zip(set_header[3:], map(float, fields[3:])))
                 sets.append(row)
-                continue
-            if "=" in line:
-                key, _, value = line.partition("=")
-                keyvals[key.strip()] = value.strip()
-    return keyvals, sets
-
-
-_CONFIG_INT_KEYS = {
-    "train_samples",
-    "test_sets",
-    "test_set_size",
-    "k",
-    "tree_steps",
-    "epochs",
-    "batch_size",
-    "master_seed",
-}
-_CONFIG_FLOAT_KEYS = {
-    "validation_fraction",
-    "learning_rate",
-    "adam_beta1",
-    "adam_beta2",
-    "adam_epsilon",
-}
+    return parse_key_values(path, keyval_lines), sets
 
 
 def format_config(config: ExperimentConfig) -> str:
     """Render a config as the flat key/value document :func:`load_config` reads."""
-    tc = config.train_config
-    lines = [
-        f"config_version = {CONFIG_VERSION}",
-        f"train_samples = {config.train_samples}",
-        f"test_sets = {config.test_sets}",
-        f"test_set_size = {config.test_set_size}",
-        f"k = {config.k}",
-        f"tree_steps = {config.tree_steps}",
-        "widths = " + ",".join(str(w) for w in config.widths),
-        f"epochs = {tc.epochs}",
-        f"batch_size = {tc.batch_size}",
-        f"validation_fraction = {tc.validation_fraction!r}",
-        f"learning_rate = {tc.learning_rate!r}",
-        f"adam_beta1 = {tc.adam_beta1!r}",
-        f"adam_beta2 = {tc.adam_beta2!r}",
-        f"adam_epsilon = {tc.adam_epsilon!r}",
-        f"master_seed = {config.master_seed}",
-        f"output_dir = {config.output_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    items = {"config_version": CONFIG_VERSION, **_config_items(config)}
+    return "".join(f"{key} = {value}\n" for key, value in items.items())
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -524,55 +472,25 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     from the file keep the base values; unknown keys are rejected by name.
     """
     base = base if base is not None else ExperimentConfig()
-    raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'key = value', got {text!r}"
-                )
-            key, _, value = text.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in raw:
-                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            raw[key] = value
+    raw = read_key_values(path)
     if "config_version" not in raw:
         raise ValueError(f"{path}: missing required key 'config_version'")
     if raw.pop("config_version") != str(CONFIG_VERSION):
         raise ValueError(f"{path}: unsupported config_version (expected {CONFIG_VERSION})")
-
-    cfg_kwargs: dict = {}
-    tc_kwargs: dict = {}
+    fields = {key: (owner, parse) for key, owner, parse in _CONFIG_FIELDS}
+    changes: dict = {ExperimentConfig: {}, TrainConfig: {}}
     for key, value in raw.items():
+        if key not in fields:
+            raise ValueError(f"{path}: unknown config key {key!r}")
+        owner, parse = fields[key]
         try:
-            if key in _CONFIG_INT_KEYS:
-                parsed: object = int(value)
-            elif key in _CONFIG_FLOAT_KEYS:
-                parsed = float(value)
-            elif key == "widths":
-                parsed = tuple(int(w) for w in value.split(","))
-            elif key == "output_dir":
-                parsed = value
-            else:
-                raise KeyError
-        except KeyError:
-            raise ValueError(f"{path}: unknown config key {key!r}") from None
+            changes[owner][key] = parse(value)
         except ValueError:
             raise ValueError(
                 f"{path}: field {key!r}: cannot parse value {value!r}"
             ) from None
-        if key in ("epochs", "batch_size"):
-            tc_kwargs[key] = parsed
-        elif key in _CONFIG_FLOAT_KEYS:
-            tc_kwargs[key] = parsed
-        else:
-            cfg_kwargs[key] = parsed
-    train_config = replace(base.train_config, **tc_kwargs) if tc_kwargs else base.train_config
     try:
-        return replace(base, train_config=train_config, **cfg_kwargs)
+        train_config = replace(base.train_config, **changes[TrainConfig])
+        return replace(base, train_config=train_config, **changes[ExperimentConfig])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

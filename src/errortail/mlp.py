@@ -120,6 +120,34 @@ class MlpModel:
             self.biases[i] = tensors[2 * i + 1]
 
 
+def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
+    """Widths as ints: at least two, positive, first = input_dim, last = 1."""
+    widths = tuple(int(w) for w in widths)
+    if len(widths) < 2:
+        raise ValueError("widths needs at least an input and an output layer")
+    if any(w < 1 for w in widths):
+        raise ValueError(f"layer widths must be positive, got {widths}")
+    if widths[0] != input_dim:
+        raise ValueError(
+            f"first width ({widths[0]}) must match the input dimension ({input_dim})"
+        )
+    if widths[-1] != 1:
+        raise ValueError(f"last width must be 1, got {widths[-1]}")
+    return widths
+
+
+def split_sizes(size: int, config: TrainConfig) -> tuple[int, int]:
+    """Training and validation row counts; rejects fewer training rows than a batch."""
+    val_size = round(config.validation_fraction * size)
+    train_size = size - val_size
+    if train_size < config.batch_size:
+        raise ValueError(
+            f"dataset of size {size} leaves only {train_size} training "
+            f"rows after the validation split; need at least {config.batch_size}"
+        )
+    return train_size, val_size
+
+
 def init_model(
     widths: Sequence[int],
     seed: int,
@@ -130,21 +158,9 @@ def init_model(
     """Uniformly initialized network, deterministic given the seed.
 
     Weights are drawn from U(-a, a) with a = sqrt(6 / (fan_in + fan_out)),
-    biases start at zero. The first width must match the box dimension and
-    the last must be 1.
+    biases start at zero. The widths must pass :func:`check_widths`.
     """
-    widths = tuple(int(w) for w in widths)
-    if len(widths) < 2:
-        raise ValueError("widths needs at least an input and an output layer")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"layer widths must be positive, got {widths}")
-    if widths[0] != len(input_box.lower):
-        raise ValueError(
-            f"first width ({widths[0]}) must match the input dimension "
-            f"({len(input_box.lower)})"
-        )
-    if widths[-1] != 1:
-        raise ValueError(f"last width must be 1, got {widths[-1]}")
+    widths = check_widths(widths, len(input_box.lower))
     if target_scale == 0.0:
         raise ValueError("target_scale must be nonzero")
     rng = generator(seed)
@@ -170,15 +186,22 @@ def _normalize(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return (x - model.input_lower) / (model.input_upper - model.input_lower)
 
 
-def _forward_raw(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Raw (scaled-space) outputs plus post-activation values per layer."""
-    activations = [_normalize(model, x)]
-    a = activations[0]
+def _forward_raw(
+    model: MlpModel, x: np.ndarray, keep_activations: bool = False
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Raw (scaled-space) outputs, plus each layer's input if kept for gradients;
+    otherwise one layer at a time is held, which keeps large batches small."""
+    a = _normalize(model, x)
+    activations = []
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
+        if keep_activations:
+            activations.append(a)
+        z = a @ w.T
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        a = z
     return a[:, 0], activations
 
 
@@ -197,7 +220,7 @@ def _gradient_arrays(
     model: MlpModel, x: np.ndarray, targets_scaled: np.ndarray
 ) -> list[np.ndarray]:
     """Exact MSE gradient in scaled target space, flat like parameters()."""
-    raw, activations = _forward_raw(model, x)
+    raw, activations = _forward_raw(model, x, keep_activations=True)
     batch = x.shape[0]
     delta = (2.0 / batch) * (raw - targets_scaled)[:, None]
     grads: list[np.ndarray] = [np.empty(0)] * (2 * len(model.weights))
@@ -302,13 +325,7 @@ def train(
     training rows and walks them in mini-batches (the final batch may be
     short). Fully deterministic given (data, widths, config).
     """
-    val_size = round(config.validation_fraction * data.size)
-    train_size = data.size - val_size
-    if train_size < config.batch_size:
-        raise ValueError(
-            f"dataset of size {data.size} leaves only {train_size} training "
-            f"rows after the validation split; need at least {config.batch_size}"
-        )
+    train_size, val_size = split_sizes(data.size, config)
     x_all = data.matrix
     y_all = data.targets
 

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .rng import generator
+from .textio import read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
@@ -86,12 +87,6 @@ class DomainBox:
         for lo, hi in zip(self.lower, self.upper):
             if not lo < hi:
                 raise ValueError(f"need lower < upper, got [{lo}, {hi}]")
-
-    def contains(self, contract: OptionContract) -> bool:
-        x = contract.as_array()
-        return bool(
-            np.all(x >= np.asarray(self.lower)) and np.all(x <= np.asarray(self.upper))
-        )
 
 
 # Training and test hyper-rectangles of the pricing experiment. The test
@@ -252,62 +247,22 @@ def write_priced_csv(
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``."""
     if len(contracts) != len(prices):
         raise ValueError("contracts and prices must have equal length")
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write(PRICED_CSV_HEADER + "\n")
-        for c, p in zip(contracts, prices):
-            fh.write(
-                f"{c.strike_pct!r},{c.maturity_months!r},{c.rate!r},"
-                f"{c.dividend_yield!r},{c.volatility!r},{float(p)!r}\n"
-            )
+    rows = (
+        f"{c.strike_pct!r},{c.maturity_months!r},{c.rate!r},"
+        f"{c.dividend_yield!r},{c.volatility!r},{float(p)!r}"
+        for c, p in zip(contracts, prices)
+    )
+    write_table(path, PRICED_CSV_HEADER, rows, comments)
 
 
 def read_priced_csv(path) -> tuple[list[OptionContract], np.ndarray]:
     """Read a ``K,T,r,q,sigma,price`` CSV back into contracts and prices."""
     contracts: list[OptionContract] = []
     prices: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                if line != PRICED_CSV_HEADER:
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header "
-                        f"{PRICED_CSV_HEADER!r}, got {line!r}"
-                    )
-                header = line
-                continue
-            fields = line.split(",")
-            if len(fields) != 6:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 6 comma-separated values, "
-                    f"got {len(fields)}"
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric field in {line!r}"
-                ) from None
-            try:
-                contracts.append(
-                    OptionContract(
-                        strike_pct=values[0],
-                        maturity_months=values[1],
-                        rate=values[2],
-                        dividend_yield=values[3],
-                        volatility=values[4],
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            prices.append(values[5])
-    if header is None:
-        raise ValueError(f"{path}: missing {PRICED_CSV_HEADER!r} header")
-    if not contracts:
-        raise ValueError(f"{path}: no contract rows")
+    for lineno, values in read_table(path, PRICED_CSV_HEADER):
+        try:
+            contracts.append(OptionContract(*values[:5]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        prices.append(values[5])
     return contracts, np.asarray(prices)

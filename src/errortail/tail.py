@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textio import read_table, write_table
+
 LN2 = math.log(2.0)
 
 
@@ -125,10 +127,10 @@ def markov_bound(sample: ErrorSample, m: float, x: float) -> float:
     Plugs the sample m-th moment into Markov's inequality. A bound above 1
     carries no information, so the result is capped there.
     """
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError(f"x must be positive, got {x}")
-    if m < 0.0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    if not 0.0 <= m < math.inf:
+        raise ValueError(f"m must be finite and nonnegative, got {m}")
     moment = float(np.mean(sample.values**m))
     return min(1.0, moment / x**m)
 
@@ -170,8 +172,8 @@ def shape_estimate_known_endpoint(sample: ErrorSample, k: int, xstar: float) -> 
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if not xstar > v[-1]:
         raise ValueError(
-            f"xstar ({xstar!r}) must strictly exceed the sample maximum "
-            f"({v[-1]!r}); otherwise a log argument is nonpositive"
+            f"xstar ({float(xstar)!r}) must strictly exceed the sample maximum "
+            f"({float(v[-1])!r}); otherwise a log argument is nonpositive"
         )
     u = v[n - 1 - k]
     top = v[n - k :]
@@ -184,15 +186,18 @@ def tail_fit(sample: ErrorSample, k: int) -> TailFit:
     Raises :class:`DegenerateSampleError` when ties among the order
     statistics e_(N-2k+1), ..., e_(N-k) pull the endpoint estimate down to
     the sample maximum, where the shape estimate is undefined. Jittering
-    the data instead would silently corrupt the estimates.
+    the data instead would silently corrupt the estimates. Requires k >= 2:
+    at k = 1 the endpoint estimate is always the sample maximum.
     """
+    if k < 2:
+        raise ValueError(f"a tail fit needs k >= 2, got k={k}")
     v = sample.values
     n = v.size
     xstar = endpoint_estimate(sample, k)
     if not xstar > v[-1]:
         raise DegenerateSampleError(
             f"endpoint estimate {xstar!r} does not exceed the sample maximum "
-            f"{v[-1]!r}: ties in the top-{2 * k} order statistics make the "
+            f"{float(v[-1])!r}: ties in the top-{2 * k} order statistics make the "
             "shape estimate undefined"
         )
     gamma = shape_estimate_known_endpoint(sample, k, xstar)
@@ -203,13 +208,13 @@ def exceedance_probability(fit: TailFit, x):
     """Fitted P(E > x) for x at or above the threshold.
 
     Equals k/N exactly at x = u, decreases monotonically, and is 0 from the
-    estimated endpoint on (the fitted law has no mass there). Values below
-    the threshold are rejected: the tail approximation does not apply.
+    estimated endpoint on (the fitted law has no mass there). NaN and values
+    below the threshold are rejected: the tail approximation does not apply.
     """
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    if np.any(arr < fit.u):
-        raise ValueError(f"x must be >= the threshold u = {fit.u!r}")
+    if not np.all(arr >= fit.u):
+        raise ValueError(f"x must be >= the threshold u = {float(fit.u)!r}")
     rate = fit.k / fit.n
     span = fit.xstar_hat - fit.u
     inside = arr < fit.xstar_hat
@@ -245,44 +250,17 @@ def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> 
     Optional ``comments`` are embedded as leading ``# key=value`` lines so
     the file records how it was produced.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}={value}\n")
-        fh.write("error\n")
-        for v in sample.values:
-            fh.write(f"{float(v)!r}\n")
+    write_table(path, "error", map(repr, sample.values.tolist()), comments)
 
 
 def read_error_csv(path) -> ErrorSample:
     """Read a one-column ``error`` CSV, skipping ``#`` comment lines."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                if line != "error":
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected header 'error', got {line!r}"
-                    )
-                header = line
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: not a decimal error value: {line!r}"
-                ) from None
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(
-                    f"{path}: line {lineno}: error values must be finite and "
-                    f"nonnegative, got {line!r}"
-                )
-            values.append(value)
-    if header is None:
-        raise ValueError(f"{path}: missing 'error' header")
-    if not values:
-        raise ValueError(f"{path}: no error rows")
+    for lineno, (value,) in read_table(path, "error"):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(
+                f"{path}: line {lineno}: error values must be finite and "
+                f"nonnegative, got {value!r}"
+            )
+        values.append(value)
     return ErrorSample(values)

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from errortail.cli import main
+from errortail.cli import build_parser, main
+from errortail.experiment import ExperimentConfig
 from errortail.gpd import GpdParams, gpd_sample
 from errortail.pricing import (
     crr_american_put,
@@ -14,6 +15,7 @@ from errortail.pricing import (
     C_TRAIN,
     write_priced_csv,
 )
+from errortail.mlp import TrainConfig
 from errortail.tail import ErrorSample, read_error_csv, write_error_csv
 
 
@@ -103,6 +105,13 @@ class TestFitAndQuery:
         code, _, err = run_cli(capsys, "fit-tail", str(hand_errors_csv), "--k", "3")
         assert code != 0
         assert "2k" in err
+
+    def test_tail_query_rejects_nan_level(self, capsys, hand_errors_csv, tmp_path):
+        fit_path = tmp_path / "fit.txt"
+        run_cli(capsys, "fit-tail", str(hand_errors_csv), "--k", "2", "--out", str(fit_path))
+        code, _, err = run_cli(capsys, "tail-query", "--fit", str(fit_path), "--x", "nan")
+        assert code == 1
+        assert "threshold" in err
 
     def test_tail_query_rejects_truncated_fit_file(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.txt"
@@ -195,6 +204,13 @@ class TestTrainAndErrors:
         assert code == 0
         sample = read_error_csv(errors_path)
         assert sample.n == 300
+
+    def test_train_defaults_follow_configs(self):
+        args = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json"])
+        defaults = TrainConfig()
+        for name in ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed"):
+            assert getattr(args, name) == getattr(defaults, name), name
+        assert tuple(int(w) for w in args.widths.split(",")) == ExperimentConfig().widths
 
     def test_train_rejects_malformed_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -55,6 +55,16 @@ class TestConfig:
             ExperimentConfig(test_set_size=100, k=51)
         with pytest.raises(ValueError, match="test_sets"):
             ExperimentConfig(test_sets=0)
+        # rejected at construction, before any contract is priced
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            ExperimentConfig(k=1)
+        with pytest.raises(ValueError, match="input dimension"):
+            ExperimentConfig(widths=(4, 8, 1))
+        with pytest.raises(ValueError, match="last width"):
+            ExperimentConfig(widths=(5, 8, 2))
+        with pytest.raises(ValueError, match="training rows"):
+            ExperimentConfig(train_samples=120, train_config=TrainConfig(batch_size=100))
+        ExperimentConfig(train_samples=125, train_config=TrainConfig(batch_size=100))
 
     def test_scale_presets(self):
         desk = desk_scale_config()
@@ -99,6 +109,12 @@ class TestConfig:
         path.write_text("config_version = 1\nk = soon\n")
         with pytest.raises(ValueError, match="'k'"):
             load_config(path)
+        path.write_text("config_version = 1\nwidths = 5,8,2\n")
+        with pytest.raises(ValueError, match="last width"):
+            load_config(path)
+        path.write_text("config_version = 1\nepochs = 0\n")
+        with pytest.raises(ValueError, match="config.txt: epochs"):
+            load_config(path)
 
     def test_config_file_requires_version(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -130,6 +146,12 @@ class TestPooledEmpiricalSf:
             pooled_empirical_sf(sample, np.array([0.0, 2.5, 9.0])),
             [1.0, 0.5, 0.0],
         )
+
+    def test_rejects_negative_and_nan(self):
+        sample = ErrorSample([1.0, 2.0])
+        for x in (-1.0, np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(ValueError, match="nonnegative"):
+                pooled_empirical_sf(sample, x)
 
 
 class TestRunExperiment:

@@ -163,6 +163,11 @@ class TestMarkovBound:
             markov_bound(sample, 2.0, 0.0)
         with pytest.raises(ValueError, match="m"):
             markov_bound(sample, -1.0, 1.0)
+        with pytest.raises(ValueError, match="x must be positive"):
+            markov_bound(sample, 2.0, math.nan)
+        for m in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="m must be finite"):
+                markov_bound(sample, m, 1.0)
 
 
 class TestEndpointEstimate:
@@ -291,8 +296,16 @@ class TestTailFit:
             tail_fit(ErrorSample([2.0] * 20), 5)
 
     def test_tied_window_rejected(self):
-        with pytest.raises(DegenerateSampleError, match="ties"):
+        with pytest.raises(DegenerateSampleError, match="ties") as info:
             tail_fit(ErrorSample([1.0, 2.0, 5.0, 5.0, 7.0, 9.0]), 2)
+        assert "maximum 9.0:" in str(info.value)
+
+    def test_k_one_rejected_by_name(self):
+        # at k = 1 the endpoint estimate is always the maximum, ties or not
+        with pytest.raises(ValueError, match="k >= 2, got k=1") as info:
+            tail_fit(ErrorSample([1.0, 2.0, 3.0, 5.0]), 1)
+        assert not isinstance(info.value, DegenerateSampleError)
+        assert endpoint_estimate(ErrorSample([1.0, 2.0, 3.0, 5.0]), 1) == 5.0
 
     def test_plug_in_composition(self):
         values = generator(11).exponential(1.0, 500)
@@ -328,6 +341,10 @@ class TestExceedanceProbability:
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
             exceedance_probability(self.fit(), 0.99)
+        with pytest.raises(ValueError, match="threshold"):
+            exceedance_probability(self.fit(), math.nan)
+        with pytest.raises(ValueError, match="threshold"):
+            exceedance_probability(self.fit(), np.array([1.5, math.nan]))
 
     def test_nonincreasing(self):
         fit = self.fit()

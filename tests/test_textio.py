@@ -1,0 +1,72 @@
+"""Every text reader rejects malformed input, naming the line."""
+
+import pytest
+
+from errortail.cli import _read_fit_file
+from errortail.experiment import (
+    FIGURE_HEADER,
+    load_config,
+    load_report_tables,
+    read_figure_csv,
+)
+from errortail.pricing import PRICED_CSV_HEADER, read_priced_csv
+from errortail.tail import read_error_csv
+
+# reader, header, one valid row
+TABLES = [
+    (read_priced_csv, PRICED_CSV_HEADER, "1.0,12.0,0.02,0.0,0.2,3.5"),
+    (read_error_csv, "error", "0.5"),
+    (read_figure_csv, FIGURE_HEADER, "1.0,0.1,0.0,0.2,0.1,0.5,0.3"),
+]
+# reader, a valid file body that sets k
+KEY_VALUE_FILES = [
+    (_read_fit_file, "n = 10\nk = 2\nu = 1.0\nxstar_hat = 2.0\ngamma_hat = -0.5\n"),
+    (load_config, "config_version = 1\nk = 3\n"),
+    (load_report_tables, "report_version = 1\n\n[config]\nk = 3\n"),
+]
+SETS_HEADER = "index,n,k,u,xstar_hat,gamma_hat,sigma_u,exceed_at_u_ref,mean_excess"
+
+
+def _cases():
+    for reader, header, row in TABLES:
+        name = reader.__name__
+        bad_row = row.rsplit(",", 1)[0] + ",oops" if "," in row else "oops"
+        yield pytest.param(
+            reader, f"# origin=test\n\n{header}\n{row}\n{bad_row}\n", "line 5: non-numeric",
+            id=f"{name}-malformed-row",
+        )
+        yield pytest.param(
+            reader, f"{header}\n{row},7\n", "line 2: expected",
+            id=f"{name}-extra-column",
+        )
+        yield pytest.param(
+            reader, f"# origin=test\nwrong\n{row}\n", "line 2: expected header",
+            id=f"{name}-wrong-header",
+        )
+        yield pytest.param(
+            reader, "# origin=test\n\n", "missing", id=f"{name}-missing-header"
+        )
+        yield pytest.param(reader, f"{header}\n", "no rows", id=f"{name}-no-rows")
+    for reader, body in KEY_VALUE_FILES:
+        name = reader.__name__
+        lines = body.count("\n")
+        yield pytest.param(
+            reader, f"# comment\n{body}no pair here\n", f"line {lines + 2}: expected",
+            id=f"{name}-malformed-line",
+        )
+        yield pytest.param(
+            reader, f"{body}\nk = 4\n", f"line {lines + 2}: duplicate key 'k'",
+            id=f"{name}-duplicate-key",
+        )
+    yield pytest.param(
+        load_report_tables, f"[sets]\n{SETS_HEADER}\n0,degenerate,,,,,,,\n1,10\n",
+        "line 4: expected 9 fields", id="load_report_tables-truncated-set-row",
+    )
+
+
+@pytest.mark.parametrize("reader, text, message", list(_cases()))
+def test_reader_names_the_offending_line(reader, text, message, tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        reader(path)
