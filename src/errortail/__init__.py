@@ -10,7 +10,6 @@ surrogate to exercise them end to end.
 from .gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample, gpd_sf
 from .mlp import (
     AdamState,
-    LabeledSet,
     MlpModel,
     TrainConfig,
     TrainingReport,
@@ -32,6 +31,7 @@ from .pricing import (
     DomainBox,
     OptionContract,
     bs_european_put,
+    contract_terms,
     crr_american_put,
     price_contracts,
     read_priced_csv,

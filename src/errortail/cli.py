@@ -34,8 +34,18 @@ def _read_fit_file(path) -> tail.TailFit:
     missing = [key for key in fields if key not in values]
     if missing:
         raise ValueError(f"{path}: missing fit fields: {', '.join(missing)}")
-    n, k, *floats = (values[key] for key in fields)
-    return tail.TailFit(int(n), int(k), *map(float, floats))
+    parsed = {}
+    for key in fields:
+        try:
+            parsed[key] = (int if key in ("n", "k") else float)(values[key])
+        except ValueError:
+            raise ValueError(
+                f"{path}: field {key!r}: cannot parse value {values[key]!r}"
+            ) from None
+    try:
+        return tail.TailFit(**parsed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_price(args) -> int:
@@ -52,12 +62,12 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    contracts, prices = pricing.read_priced_csv(args.data)
+    x, prices = pricing.read_priced_csv(args.data)
     widths = exp.paper_scale_config().widths if args.paper_scale else tuple(
         int(w) for w in args.widths.split(",")
     )
     config = mlp.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
-    model, report = mlp.train(mlp.LabeledSet(contracts, prices), widths, config)
+    model, report = mlp.train(x, prices, widths, config)
     mlp.save_model(model, args.out)
     print(f"model written to {args.out}")
     print(f"final_train_mse_usd2 = {report.train_mse[-1]!r}")
@@ -67,8 +77,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_errors(args) -> int:
     model = mlp.load_model(args.model)
-    contracts, prices = pricing.read_priced_csv(args.data)
-    sample = mlp.error_sample(model, mlp.LabeledSet(contracts, prices))
+    sample = mlp.error_sample(model, *pricing.read_priced_csv(args.data))
     tail.write_error_csv(
         args.out, sample, comments={"model": args.model, "data": args.data}
     )

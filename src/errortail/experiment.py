@@ -24,10 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .mlp import (
-    LabeledSet, TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
-)
-from .pricing import C_TEST, C_TRAIN, price_contracts, sample_uniform
+from .mlp import TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
+from .pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
 from .rng import stage_seed
 from .tail import (
     DegenerateSampleError,
@@ -213,29 +211,21 @@ def run_experiment(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    train_contracts = sample_uniform(
-        C_TRAIN, config.train_samples, stage_seed(config.master_seed, "train-sample")
-    )
-    train_prices = price_contracts(
-        train_contracts, steps=config.tree_steps, workers=workers
-    )
+    sample_seed = stage_seed(config.master_seed, "train-sample")
+    train_x = contract_terms(sample_uniform(C_TRAIN, config.train_samples, sample_seed))
+    train_prices = price_contracts(train_x, steps=config.tree_steps, workers=workers)
     train_seed = stage_seed(config.master_seed, "train")
     train_cfg = replace(config.train_config, seed=train_seed)
-    model, training_report = train(
-        LabeledSet(train_contracts, train_prices), config.widths, train_cfg
-    )
+    model, training_report = train(train_x, train_prices, config.widths, train_cfg)
 
     fits: list[TailFit | None] = []
     failures: list[tuple[int, str]] = []
     per_set_errors: list[ErrorSample] = []
     for i in range(config.test_sets):
-        contracts = sample_uniform(
-            C_TEST,
-            config.test_set_size,
-            stage_seed(config.master_seed, f"test-sample-{i}"),
-        )
-        prices = price_contracts(contracts, steps=config.tree_steps, workers=workers)
-        errors = error_sample(model, LabeledSet(contracts, prices))
+        sample_seed = stage_seed(config.master_seed, f"test-sample-{i}")
+        x = contract_terms(sample_uniform(C_TEST, config.test_set_size, sample_seed))
+        prices = price_contracts(x, steps=config.tree_steps, workers=workers)
+        errors = error_sample(model, x, prices)
         per_set_errors.append(errors)
         try:
             fits.append(tail_fit(errors, config.k))

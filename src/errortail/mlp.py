@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pricing import C_TRAIN, DomainBox, OptionContract, contracts_matrix
+from .pricing import C_TRAIN, DomainBox, OptionContract, contract_terms
 from .rng import generator, stage_seed
 from .tail import ErrorSample
 
@@ -60,30 +60,6 @@ class TrainConfig:
             raise ValueError(f"adam_beta2 must be in (0, 1), got {self.adam_beta2}")
         if self.adam_epsilon <= 0.0:
             raise ValueError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
-
-
-class LabeledSet:
-    """Contracts paired with their oracle prices in USD."""
-
-    __slots__ = ("inputs", "targets", "_matrix")
-
-    def __init__(self, inputs: Sequence[OptionContract], targets) -> None:
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 1 or len(inputs) != targets.size:
-            raise ValueError("inputs and targets must have equal length")
-        self.inputs = list(inputs)
-        self.targets = targets
-        self._matrix: np.ndarray | None = None
-
-    @property
-    def size(self) -> int:
-        return self.targets.size
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = contracts_matrix(self.inputs)
-        return self._matrix
 
 
 @dataclass
@@ -213,7 +189,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 def forward(model: MlpModel, contract: OptionContract) -> float:
     """Predicted price in USD for one contract."""
-    return float(forward_batch(model, contract.as_array()[None, :])[0])
+    return float(forward_batch(model, contract_terms([contract]))[0])
 
 
 def _gradient_arrays(
@@ -236,15 +212,26 @@ def scale_targets(model: MlpModel, targets_usd: np.ndarray) -> np.ndarray:
     return (np.asarray(targets_usd, dtype=float) - model.target_offset) / model.target_scale
 
 
-def gradient(model: MlpModel, batch: LabeledSet) -> list[np.ndarray]:
+def _labeled(x, prices) -> tuple[np.ndarray, np.ndarray]:
+    """Contract terms (see :func:`contract_terms`) and their oracle prices in
+    USD as arrays of equal length."""
+    x = contract_terms(x)
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (len(x),):
+        raise ValueError("contracts and prices must have equal length")
+    return x, prices
+
+
+def gradient(model: MlpModel, x, prices) -> list[np.ndarray]:
     """Gradient of the batch MSE with respect to every weight and bias.
 
     The loss is measured in scaled target space, matching what the trainer
     minimizes. Returned tensors line up with ``model.parameters()``.
     """
-    if batch.size < 1:
+    x, prices = _labeled(x, prices)
+    if len(x) < 1:
         raise ValueError("batch must be nonempty")
-    return _gradient_arrays(model, batch.matrix, scale_targets(model, batch.targets))
+    return _gradient_arrays(model, x, scale_targets(model, prices))
 
 
 @dataclass
@@ -312,29 +299,29 @@ def _mse_usd(model: MlpModel, x: np.ndarray, y_usd: np.ndarray) -> float:
 
 
 def train(
-    data: LabeledSet,
+    x,
+    prices,
     widths: Sequence[int],
     config: TrainConfig,
     input_box: DomainBox = C_TRAIN,
     target_scale: float = DEFAULT_TARGET_SCALE,
 ) -> tuple[MlpModel, TrainingReport]:
-    """Train a network on (contract, price) pairs.
+    """Train a network on contracts ``x`` and their oracle ``prices``.
 
     The validation split holds out round(validation_fraction * size) points
     chosen by a seeded shuffle; every epoch reshuffles the remaining
     training rows and walks them in mini-batches (the final batch may be
-    short). Fully deterministic given (data, widths, config).
+    short). Fully deterministic given (x, prices, widths, config).
     """
-    train_size, val_size = split_sizes(data.size, config)
-    x_all = data.matrix
-    y_all = data.targets
+    x_all, y_all = _labeled(x, prices)
+    train_size, val_size = split_sizes(len(y_all), config)
 
     model = init_model(
         widths, stage_seed(config.seed, "init"), input_box=input_box,
         target_scale=target_scale,
     )
     shuffle_rng = generator(stage_seed(config.seed, "shuffle"))
-    order = shuffle_rng.permutation(data.size)
+    order = shuffle_rng.permutation(len(y_all))
     val_idx = order[:val_size]
     train_idx = order[val_size:]
     x_train, y_train = x_all[train_idx], y_all[train_idx]
@@ -362,10 +349,11 @@ def train(
     return model, report
 
 
-def error_sample(model: MlpModel, oracle_prices: LabeledSet) -> ErrorSample:
-    """Sorted absolute differences, in USD, between oracle and prediction."""
-    pred = forward_batch(model, oracle_prices.matrix)
-    return ErrorSample(np.abs(oracle_prices.targets - pred))
+def error_sample(model: MlpModel, x, prices) -> ErrorSample:
+    """Sorted absolute differences, in USD, between the oracle ``prices`` of
+    contracts ``x`` and the model's predictions."""
+    x, prices = _labeled(x, prices)
+    return ErrorSample(np.abs(prices - forward_batch(model, x)))
 
 
 def save_model(model: MlpModel, path) -> None:

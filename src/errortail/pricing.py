@@ -20,9 +20,9 @@ across worker processes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,45 +33,47 @@ SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
+_POSITIVE = [0, 1, 4]  # K, T and vol
 
 
-@dataclass(frozen=True)
-class OptionContract:
+def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
+    """Contracts as an (n, 5) float array with columns K, T, r, q, vol.
+
+    ``contracts`` is anything numpy reads as rows of five terms, such as a
+    list of :class:`OptionContract` or an array. This is the one contract
+    rule: every term finite, and K, T and vol positive. An error names the
+    field and ``row_label`` of the first offending row.
+    """
+    terms = np.asarray(contracts, dtype=float)
+    if terms.ndim != 2 or terms.shape[1] != 5:
+        raise ValueError(f"contracts must have shape (n, 5), got {terms.shape}")
+    bad = ~np.isfinite(terms)
+    bad[:, _POSITIVE] |= ~(terms[:, _POSITIVE] > 0.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        value = float(terms[row, col])
+        rule = "finite" if not math.isfinite(value) else "positive"
+        raise ValueError(f"{row_label(row)}: {_FIELDS[col]} must be {rule}, got {value}")
+    return terms
+
+
+class OptionContract(namedtuple("OptionContract", _FIELDS)):
     """Contract terms (K, T, r, q, vol) of an American put.
 
     ``strike_pct`` is the strike as a fraction of the initial stock price
-    and ``maturity_months`` the time to maturity in months.
+    and ``maturity_months`` the time to maturity in months. Construction
+    checks the terms with :func:`contract_terms`; ``_make`` skips that check.
     """
 
-    strike_pct: float
-    maturity_months: float
-    rate: float
-    dividend_yield: float
-    volatility: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in _FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.strike_pct <= 0.0:
-            raise ValueError(f"strike_pct must be positive, got {self.strike_pct}")
-        if self.maturity_months <= 0.0:
-            raise ValueError(
-                f"maturity_months must be positive, got {self.maturity_months}"
-            )
-        if self.volatility <= 0.0:
-            raise ValueError(f"volatility must be positive, got {self.volatility}")
+    def __new__(cls, *args, **kwargs):
+        contract = super().__new__(cls, *args, **kwargs)
+        contract_terms([contract], lambda row: "contract")
+        return contract
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.strike_pct,
-                self.maturity_months,
-                self.rate,
-                self.dividend_yield,
-                self.volatility,
-            ]
-        )
+        return np.array(self, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -100,18 +102,6 @@ C_TEST = DomainBox(
     lower=(0.50, 11.0, 0.015, 0.00, 0.10),
     upper=(1.50, 12.0, 0.025, 0.05, 0.50),
 )
-
-
-def contracts_matrix(contracts: Sequence[OptionContract]) -> np.ndarray:
-    """Stack contracts into an (n, 5) array with columns K, T, r, q, vol."""
-    out = np.empty((len(contracts), 5))
-    for i, c in enumerate(contracts):
-        out[i, 0] = c.strike_pct
-        out[i, 1] = c.maturity_months
-        out[i, 2] = c.rate
-        out[i, 3] = c.dividend_yield
-        out[i, 4] = c.volatility
-    return out
 
 
 def _crr_put_batch(params: np.ndarray, spot: float, steps: int) -> np.ndarray:
@@ -162,17 +152,17 @@ def crr_american_put(
         raise ValueError(f"spot must be positive, got {spot}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    return float(_crr_put_batch(contract.as_array()[None, :], spot, steps)[0])
+    return float(_crr_put_batch(contract_terms([contract]), spot, steps)[0])
 
 
 def price_contracts(
-    contracts: Sequence[OptionContract],
+    contracts,
     spot: float = SPOT_REFERENCE,
     steps: int = DEFAULT_TREE_STEPS,
     workers: int | None = None,
     batch_size: int = 2048,
 ) -> np.ndarray:
-    """Price many contracts; results follow input order.
+    """Price many contracts (see :func:`contract_terms`); results follow input order.
 
     Pricing is pure, so the work may be farmed across processes; neither
     ``workers`` nor ``batch_size`` affects the returned bits.
@@ -181,7 +171,7 @@ def price_contracts(
         raise ValueError(f"spot must be positive, got {spot}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    params = contracts_matrix(contracts)
+    params = contract_terms(contracts)
     chunks = [params[i : i + batch_size] for i in range(0, len(params), batch_size)]
     if workers is None or workers <= 1 or len(chunks) <= 1:
         parts = [_crr_put_batch(chunk, spot, steps) for chunk in chunks]
@@ -204,9 +194,9 @@ def bs_european_put(contract: OptionContract, spot: float = SPOT_REFERENCE) -> f
     """
     if spot <= 0.0:
         raise ValueError(f"spot must be positive, got {spot}")
-    strike = contract.strike_pct * spot
-    t = contract.maturity_months / 12.0
-    r, q, vol = contract.rate, contract.dividend_yield, contract.volatility
+    strike_pct, months, r, q, vol = contract_terms([contract])[0].tolist()
+    strike = strike_pct * spot
+    t = months / 12.0
     sig_sqrt_t = vol * math.sqrt(t)
     d1 = (math.log(spot / strike) + (r - q + 0.5 * vol * vol) * t) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
@@ -222,47 +212,30 @@ def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract
     lower = np.asarray(box.lower)
     upper = np.asarray(box.upper)
     u = generator(seed).random((count, 5))
-    points = lower + (upper - lower) * u
-    return [
-        OptionContract(
-            strike_pct=row[0],
-            maturity_months=row[1],
-            rate=row[2],
-            dividend_yield=row[3],
-            volatility=row[4],
-        )
-        for row in points.tolist()
-    ]
+    points = contract_terms(lower + (upper - lower) * u)
+    return list(map(OptionContract._make, points.tolist()))
 
 
 PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 
-def write_priced_csv(
-    path,
-    contracts: Sequence[OptionContract],
-    prices: np.ndarray,
-    comments: dict | None = None,
-) -> None:
+def write_priced_csv(path, contracts, prices, comments: dict | None = None) -> None:
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``."""
-    if len(contracts) != len(prices):
+    terms = contract_terms(contracts)
+    prices = np.asarray(prices, dtype=float)
+    if prices.shape != (len(terms),):
         raise ValueError("contracts and prices must have equal length")
     rows = (
-        f"{c.strike_pct!r},{c.maturity_months!r},{c.rate!r},"
-        f"{c.dividend_yield!r},{c.volatility!r},{float(p)!r}"
-        for c, p in zip(contracts, prices)
+        f"{k!r},{t!r},{r!r},{q!r},{vol!r},{p!r}"
+        for (k, t, r, q, vol), p in zip(terms.tolist(), prices.tolist())
     )
     write_table(path, PRICED_CSV_HEADER, rows, comments)
 
 
-def read_priced_csv(path) -> tuple[list[OptionContract], np.ndarray]:
-    """Read a ``K,T,r,q,sigma,price`` CSV back into contracts and prices."""
-    contracts: list[OptionContract] = []
-    prices: list[float] = []
-    for lineno, values in read_table(path, PRICED_CSV_HEADER):
-        try:
-            contracts.append(OptionContract(*values[:5]))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        prices.append(values[5])
-    return contracts, np.asarray(prices)
+def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a ``K,T,r,q,sigma,price`` CSV back into (n, 5) terms and n prices;
+    a row that breaks the contract rule is named by its line."""
+    linenos, rows = zip(*read_table(path, PRICED_CSV_HEADER))
+    table = np.array(rows)
+    terms = contract_terms(table[:, :5], lambda row: f"{path}: line {linenos[row]}")
+    return terms, table[:, 5]

@@ -92,6 +92,9 @@ class TailFit:
     def __post_init__(self) -> None:
         if not 1 <= self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        for name in ("u", "xstar_hat", "gamma_hat"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {float(getattr(self, name))}")
         if not self.gamma_hat < 0.0:
             raise ValueError(f"gamma_hat must be negative, got {self.gamma_hat}")
         if not self.xstar_hat > self.u:

@@ -18,7 +18,7 @@ from errortail.experiment import (
     run_experiment,
 )
 from errortail.gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample
-from errortail.mlp import LabeledSet, gradient, init_model, scale_targets, _forward_raw
+from errortail.mlp import gradient, init_model, scale_targets, _forward_raw
 from errortail.pricing import (
     C_TRAIN,
     DomainBox,
@@ -304,15 +304,13 @@ def test_criterion_09_gradient_against_finite_differences():
             smallest = min(smallest, float(np.min(np.abs(z))))
             a = np.maximum(z, 0.0)
         if smallest > margin:
-            contracts = [OptionContract(*row) for row in x.tolist()]
-            cases.append((model, LabeledSet(contracts, targets)))
+            cases.append((model, x, targets))
         seed += 1
 
     worst = 0.0
-    for model, data in cases:
-        grads = gradient(model, data)
-        x = data.matrix
-        y_scaled = scale_targets(model, data.targets)
+    for model, x, targets in cases:
+        grads = gradient(model, x, targets)
+        y_scaled = scale_targets(model, targets)
 
         def loss() -> float:
             raw, _ = _forward_raw(model, x)

@@ -113,6 +113,13 @@ class TestFitAndQuery:
         assert code == 1
         assert "threshold" in err
 
+    def test_tail_query_rejects_non_finite_fit(self, capsys, tmp_path):
+        fit_path = tmp_path / "fit.txt"
+        fit_path.write_text("n = 10\nk = 2\nu = 1.0\nxstar_hat = inf\ngamma_hat = -0.5\n")
+        code, out, err = run_cli(capsys, "tail-query", "--fit", str(fit_path))
+        assert code == 1 and out == ""
+        assert f"{fit_path}: xstar_hat must be finite" in err
+
     def test_tail_query_rejects_truncated_fit_file(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.txt"
         fit_path.write_text("n = 10\nk = 2\n")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from errortail.mlp import (
-    LabeledSet,
     TrainConfig,
     adam_init,
     adam_step,
@@ -16,21 +15,29 @@ from errortail.mlp import (
     scale_targets,
     train,
 )
-from errortail.pricing import C_TRAIN, DomainBox, OptionContract
+from errortail.pricing import (
+    C_TRAIN,
+    DomainBox,
+    OptionContract,
+    contract_terms,
+    price_contracts,
+    sample_uniform,
+)
 from errortail.rng import generator
 
 # toy box keeping every contract field strictly positive
 UNIT_BOX = DomainBox(lower=(0.01,) * 5, upper=(1.0,) * 5)
 
 
-def toy_set(count: int, seed: int, box: DomainBox = UNIT_BOX) -> LabeledSet:
-    """Labeled points with the linear target y = sum of the raw inputs."""
+def toy_set(
+    count: int, seed: int, box: DomainBox = UNIT_BOX
+) -> tuple[np.ndarray, np.ndarray]:
+    """Contract terms x with the linear target y = sum of the raw inputs."""
     g = generator(seed)
     lower = np.asarray(box.lower)
     upper = np.asarray(box.upper)
     x = lower + (upper - lower) * g.random((count, 5))
-    contracts = [OptionContract(*row) for row in x.tolist()]
-    return LabeledSet(contracts, x.sum(axis=1))
+    return x, x.sum(axis=1)
 
 
 def min_preactivation_magnitude(model, x: np.ndarray) -> float:
@@ -47,7 +54,7 @@ def min_preactivation_magnitude(model, x: np.ndarray) -> float:
 
 
 def finite_difference_cases(count: int, margin: float = 1e-3):
-    """Deterministic random (model, batch) pairs safe for the FD oracle.
+    """Deterministic random (model, x, y) cases safe for the FD oracle.
 
     Central differences are only a valid derivative oracle away from the
     relu kinks, so configurations with a hidden pre-activation within
@@ -59,9 +66,9 @@ def finite_difference_cases(count: int, margin: float = 1e-3):
         g = generator(seed)
         widths = [5, int(g.integers(2, 6)), int(g.integers(2, 6)), 1]
         model = init_model(widths, seed=seed, input_box=UNIT_BOX, target_scale=1.0)
-        data = toy_set(int(g.integers(2, 9)), seed=seed + 100)
-        if min_preactivation_magnitude(model, data.matrix) > margin:
-            cases.append((model, data))
+        x, y = toy_set(int(g.integers(2, 9)), seed=seed + 100)
+        if min_preactivation_magnitude(model, x) > margin:
+            cases.append((model, x, y))
         seed += 1
     return cases
 
@@ -127,9 +134,9 @@ class TestForward:
 
     def test_matches_per_neuron_recomputation(self):
         model = init_model([5, 4, 1], seed=9, input_box=UNIT_BOX)
-        data = toy_set(6, seed=10)
-        batch_out = forward_batch(model, data.matrix)
-        for row, want in zip(data.matrix, batch_out):
+        x, _ = toy_set(6, seed=10)
+        batch_out = forward_batch(model, x)
+        for row, want in zip(x, batch_out):
             z = (row - model.input_lower) / (model.input_upper - model.input_lower)
             hidden = [
                 max(0.0, float(np.dot(model.weights[0][j], z)) + model.biases[0][j])
@@ -157,26 +164,24 @@ class TestForward:
 class TestGradient:
     def test_zero_at_perfect_fit(self):
         model = init_model([5, 3, 1], seed=2, input_box=UNIT_BOX)
-        data = toy_set(8, seed=3)
-        fitted = LabeledSet(data.inputs, forward_batch(model, data.matrix))
-        grads = gradient(model, fitted)
+        x, _ = toy_set(8, seed=3)
+        grads = gradient(model, x, forward_batch(model, x))
         assert all(np.all(g == 0.0) for g in grads)
 
     def test_residual_doubling_doubles_output_bias_gradient(self):
         model = init_model([5, 3, 1], seed=2, input_box=UNIT_BOX)
-        data = toy_set(8, seed=3)
-        pred = forward_batch(model, data.matrix)
-        residual = data.targets - pred
-        once = gradient(model, LabeledSet(data.inputs, pred + residual))
-        twice = gradient(model, LabeledSet(data.inputs, pred + 2.0 * residual))
+        x, y = toy_set(8, seed=3)
+        pred = forward_batch(model, x)
+        residual = y - pred
+        once = gradient(model, x, pred + residual)
+        twice = gradient(model, x, pred + 2.0 * residual)
         np.testing.assert_allclose(twice[-1], 2.0 * once[-1], rtol=1e-12)
 
     def test_matches_central_finite_differences(self):
         step = 1e-5
-        for model, data in finite_difference_cases(count=6):
-            grads = gradient(model, data)
-            x = data.matrix
-            y_scaled = scale_targets(model, data.targets)
+        for model, x, y in finite_difference_cases(count=6):
+            grads = gradient(model, x, y)
+            y_scaled = scale_targets(model, y)
 
             def loss() -> float:
                 from errortail.mlp import _forward_raw
@@ -204,7 +209,9 @@ class TestGradient:
     def test_rejects_empty_batch(self):
         model = init_model([5, 3, 1], seed=2)
         with pytest.raises(ValueError, match="equal length"):
-            LabeledSet([], np.array([1.0]))
+            gradient(model, np.empty((0, 5)), np.array([1.0]))
+        with pytest.raises(ValueError, match="nonempty"):
+            gradient(model, np.empty((0, 5)), np.empty(0))
 
 
 class TestAdam:
@@ -276,15 +283,15 @@ class TestTrain:
     def test_learns_linear_target(self):
         data = toy_set(1000, seed=4)
         config = self.config(epochs=60)
-        model, report = train(data, [5, 16, 16, 16, 1], config, input_box=UNIT_BOX,
+        model, report = train(*data, [5, 16, 16, 16, 1], config, input_box=UNIT_BOX,
                               target_scale=1.0)
         assert report.train_mse[-1] < 1e-3
 
     def test_deterministic_weights(self):
         data = toy_set(400, seed=5)
         config = self.config(epochs=3)
-        model_a, _ = train(data, [5, 8, 8, 8, 1], config, input_box=UNIT_BOX)
-        model_b, _ = train(data, [5, 8, 8, 8, 1], config, input_box=UNIT_BOX)
+        model_a, _ = train(*data, [5, 8, 8, 8, 1], config, input_box=UNIT_BOX)
+        model_b, _ = train(*data, [5, 8, 8, 8, 1], config, input_box=UNIT_BOX)
         for wa, wb in zip(model_a.weights, model_b.weights):
             assert np.array_equal(wa, wb)
         for ba, bb in zip(model_a.biases, model_b.biases):
@@ -292,14 +299,14 @@ class TestTrain:
 
     def test_validation_split_size(self):
         data = toy_set(403, seed=6)
-        _, report = train(data, [5, 4, 1], self.config(epochs=1), input_box=UNIT_BOX)
+        _, report = train(*data, [5, 4, 1], self.config(epochs=1), input_box=UNIT_BOX)
         assert report.validation_size == round(0.2 * 403)
         assert report.train_size == 403 - round(0.2 * 403)
 
     def test_learning_improves_over_epochs(self):
         data = toy_set(1000, seed=7)
         _, report = train(
-            data, [5, 16, 16, 1], self.config(epochs=10), input_box=UNIT_BOX,
+            *data, [5, 16, 16, 1], self.config(epochs=10), input_box=UNIT_BOX,
             target_scale=1.0,
         )
         assert report.train_mse[9] < report.train_mse[0]
@@ -307,30 +314,45 @@ class TestTrain:
     def test_rejects_undersized_dataset(self):
         data = toy_set(50, seed=8)
         with pytest.raises(ValueError, match="training"):
-            train(data, [5, 4, 1], self.config(batch_size=50), input_box=UNIT_BOX)
+            train(*data, [5, 4, 1], self.config(batch_size=50), input_box=UNIT_BOX)
 
 
 class TestErrorSampleFromModel:
     def test_perfect_model_gives_zero_errors(self):
         model = init_model([5, 4, 1], seed=0, input_box=UNIT_BOX)
-        data = toy_set(20, seed=9)
-        fitted = LabeledSet(data.inputs, forward_batch(model, data.matrix))
-        sample = error_sample(model, fitted)
+        x, _ = toy_set(20, seed=9)
+        sample = error_sample(model, x, forward_batch(model, x))
         assert np.all(sample.values == 0.0)
 
     def test_single_pair(self):
         model = init_model([5, 4, 1], seed=0, input_box=UNIT_BOX)
         contract = OptionContract(0.5, 0.5, 0.5, 0.5, 0.5)
         pred = forward(model, contract)
-        sample = error_sample(model, LabeledSet([contract], [pred + 0.1]))
+        sample = error_sample(model, [contract], [pred + 0.1])
         assert sample.values[0] == pytest.approx(0.1, abs=1e-12)
 
     def test_elementwise_definition(self):
         model = init_model([5, 6, 1], seed=3, input_box=UNIT_BOX)
-        data = toy_set(100, seed=10)
-        sample = error_sample(model, data)
-        direct = np.abs(data.targets - forward_batch(model, data.matrix))
+        x, y = toy_set(100, seed=10)
+        sample = error_sample(model, x, y)
+        direct = np.abs(y - forward_batch(model, x))
         assert np.array_equal(sample.values, np.sort(direct))
+
+
+def test_contract_list_and_array_agree_bitwise():
+    contracts = sample_uniform(C_TRAIN, 200, seed=14)
+    x = contract_terms(contracts)
+    prices = price_contracts(contracts, steps=20)
+    assert np.array_equal(price_contracts(x, steps=20), prices)
+    config = TrainConfig(epochs=2, batch_size=40, seed=3)
+    from_list, _ = train(contracts, prices, [5, 8, 1], config)
+    from_array, _ = train(x, prices, [5, 8, 1], config)
+    for a, b in zip(from_list.parameters(), from_array.parameters()):
+        assert np.array_equal(a, b)
+    assert np.array_equal(
+        error_sample(from_list, contracts, prices).values,
+        error_sample(from_list, x, prices).values,
+    )
 
 
 class TestPersistence:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from errortail.pricing import (
     DomainBox,
     OptionContract,
     bs_european_put,
-    contracts_matrix,
+    contract_terms,
     crr_american_put,
     price_contracts,
     read_priced_csv,
@@ -19,6 +20,18 @@ from errortail.pricing import (
 from errortail.rng import generator
 
 TREE_TOL = 0.02  # USD, discretization error budget at 1000 steps
+VALID_TERMS = (1.0, 12.0, 0.02, 0.0, 0.2)
+# terms that break the contract rule, and the message naming the field
+RULE_BREAKS = [
+    pytest.param((1.0, 12.0, math.nan, 0.0, 0.2), "rate must be finite", id="nan-rate"),
+    pytest.param((1.0, 12.0, -math.inf, 0.0, 0.2), "rate must be finite", id="inf-rate"),
+    pytest.param((0.0, 12.0, 0.02, 0.0, 0.2), "strike_pct must be positive", id="zero-K"),
+    pytest.param((-1.0, 12.0, 0.02, 0.0, 0.2), "strike_pct must be positive", id="negative-K"),
+    pytest.param((1.0, 0.0, 0.02, 0.0, 0.2), "maturity_months must be positive", id="zero-T"),
+    pytest.param((1.0, -3.0, 0.02, 0.0, 0.2), "maturity_months must be positive", id="negative-T"),
+    pytest.param((1.0, 12.0, 0.02, 0.0, 0.0), "volatility must be positive", id="zero-vol"),
+    pytest.param((1.0, 12.0, 0.02, 0.0, math.nan), "volatility must be finite", id="nan-vol"),
+]
 
 
 def random_contracts(box: DomainBox, count: int, seed: int) -> list[OptionContract]:
@@ -33,6 +46,19 @@ class TestContractValidation:
             OptionContract(1.0, 0.0, 0.02, 0.0, 0.2)
         with pytest.raises(ValueError, match="volatility"):
             OptionContract(1.0, 12.0, 0.02, 0.0, 0.0)
+
+    @pytest.mark.parametrize("terms, message", RULE_BREAKS)
+    def test_one_rule_for_a_contract_and_an_array(self, terms, message):
+        with pytest.raises(ValueError, match=message):
+            OptionContract(*terms)
+        with pytest.raises(ValueError, match=f"row 1: {message}"):
+            contract_terms(np.array([VALID_TERMS, terms]))
+
+    def test_rejects_four_terms(self):
+        with pytest.raises(TypeError, match="volatility"):
+            OptionContract(*VALID_TERMS[:4])
+        with pytest.raises(ValueError, match=r"shape \(n, 5\), got \(2, 4\)"):
+            contract_terms(np.array([VALID_TERMS[:4]] * 2))
 
     def test_box_bounds(self):
         with pytest.raises(ValueError, match="lower < upper"):
@@ -186,18 +212,18 @@ class TestEuropeanClosedForm:
 class TestSampleUniform:
     def test_containment(self):
         contracts = sample_uniform(C_TEST, 5000, seed=1)
-        matrix = contracts_matrix(contracts)
+        matrix = contract_terms(contracts)
         assert np.all(matrix >= np.asarray(C_TEST.lower))
         assert np.all(matrix <= np.asarray(C_TEST.upper))
 
     def test_deterministic(self):
-        a = contracts_matrix(sample_uniform(C_TEST, 100, seed=5))
-        b = contracts_matrix(sample_uniform(C_TEST, 100, seed=5))
+        a = contract_terms(sample_uniform(C_TEST, 100, seed=5))
+        b = contract_terms(sample_uniform(C_TEST, 100, seed=5))
         assert np.array_equal(a, b)
 
     def test_component_means_near_midpoints(self):
         n = 20_000
-        matrix = contracts_matrix(sample_uniform(C_TRAIN, n, seed=2))
+        matrix = contract_terms(sample_uniform(C_TRAIN, n, seed=2))
         lower = np.asarray(C_TRAIN.lower)
         upper = np.asarray(C_TRAIN.upper)
         mid = (lower + upper) / 2.0
@@ -215,8 +241,8 @@ class TestPricedCsv:
         prices = price_contracts(contracts, steps=50)
         path = tmp_path / "priced.csv"
         write_priced_csv(path, contracts, prices, comments={"steps": 50})
-        back_contracts, back_prices = read_priced_csv(path)
-        assert np.array_equal(contracts_matrix(back_contracts), contracts_matrix(contracts))
+        back_terms, back_prices = read_priced_csv(path)
+        assert np.array_equal(back_terms, contract_terms(contracts))
         assert np.array_equal(back_prices, prices)
 
     def test_rejects_wrong_header(self, tmp_path):
@@ -235,4 +261,14 @@ class TestPricedCsv:
         path = tmp_path / "bad.csv"
         path.write_text("K,T,r,q,sigma,price\n-1.0,12.0,0.02,0.0,0.2,3.5\n")
         with pytest.raises(ValueError, match="line 2"):
+            read_priced_csv(path)
+
+    def test_names_line_of_invalid_contract_below_comments(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        good = "1.0,12.0,0.02,0.0,0.2,3.5\n"
+        path.write_text(
+            f"# steps=50\n# seed=1\nK,T,r,q,sigma,price\n{good}\n{good}"
+            "1.0,12.0,0.02,0.0,0.0,3.5\n"
+        )
+        with pytest.raises(ValueError, match="line 7: volatility must be positive"):
             read_priced_csv(path)

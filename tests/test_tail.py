@@ -307,6 +307,22 @@ class TestTailFit:
         assert not isinstance(info.value, DegenerateSampleError)
         assert endpoint_estimate(ErrorSample([1.0, 2.0, 3.0, 5.0]), 1) == 5.0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("u", math.nan),
+            ("u", -math.inf),
+            ("xstar_hat", math.inf),
+            ("xstar_hat", math.nan),
+            ("gamma_hat", -math.inf),
+        ],
+    )
+    def test_non_finite_fit_rejected_by_name(self, field, value):
+        terms = dict(n=100, k=10, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
+        terms[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TailFit(**terms)
+
     def test_plug_in_composition(self):
         values = generator(11).exponential(1.0, 500)
         fit = tail_fit(ErrorSample(values), 30)

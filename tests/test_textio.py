@@ -1,4 +1,6 @@
-"""Every text reader rejects malformed input, naming the line."""
+"""Every text reader rejects malformed input, naming the line or the field."""
+
+import re
 
 import pytest
 
@@ -58,6 +60,11 @@ def _cases():
             reader, f"{body}\nk = 4\n", f"line {lines + 2}: duplicate key 'k'",
             id=f"{name}-duplicate-key",
         )
+        if reader is not load_report_tables:  # a report's values stay text
+            yield pytest.param(
+                reader, re.sub("^k = .*$", "k = two", body, flags=re.M),
+                "field 'k': cannot parse value 'two'", id=f"{name}-bad-value",
+            )
     yield pytest.param(
         load_report_tables, f"[sets]\n{SETS_HEADER}\n0,degenerate,,,,,,,\n1,10\n",
         "line 4: expected 9 fields", id="load_report_tables-truncated-set-row",
