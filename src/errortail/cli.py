@@ -56,7 +56,7 @@ def _cmd_price(args) -> int:
         dividend_yield=args.dividend_yield,
         volatility=args.volatility,
     )
-    price = pricing.crr_american_put(contract, spot=args.spot, steps=args.steps)
+    price = pricing.crr_american_put(contract, steps=args.steps)
     print(repr(price))
     return 0
 
@@ -150,13 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("price", help="price one American put on the tree")
+    p = sub.add_parser("price", help="price one American put on the tree, spot 100 USD")
     p.add_argument("--strike-pct", "-K", type=float, required=True)
     p.add_argument("--maturity-months", "-T", type=float, required=True)
     p.add_argument("--rate", "-r", type=float, required=True)
     p.add_argument("--dividend-yield", "-q", type=float, required=True)
     p.add_argument("--volatility", type=float, required=True)
-    p.add_argument("--spot", type=float, default=pricing.SPOT_REFERENCE)
     p.add_argument("--steps", type=int, default=pricing.DEFAULT_TREE_STEPS)
     p.set_defaults(func=_cmd_price)
 

@@ -42,6 +42,7 @@ from .textio import parse_key_values, read_key_values, read_table, write_table
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
 FIGURE_HEADER = "x,evt_mean,evt_lo,evt_hi,empirical,markov_m2,markov_m4"
+FIGURE_POINTS = 40
 
 
 @dataclass(frozen=True)
@@ -284,12 +285,13 @@ def _aggregate(
     )
 
 
-def default_figure_grid(report: ExperimentReport, points: int = 40) -> np.ndarray:
-    """Geometric x levels from the reference threshold to the pooled maximum."""
+def default_figure_grid(report: ExperimentReport) -> np.ndarray:
+    """``FIGURE_POINTS`` geometric x levels from the reference threshold to
+    the pooled maximum."""
     top = float(report.pooled.values[-1])
     if top <= report.u_ref:
         raise ValueError("pooled maximum does not exceed the reference threshold")
-    return np.geomspace(report.u_ref, top, points)
+    return np.geomspace(report.u_ref, top, FIGURE_POINTS)
 
 
 def figure_rows(report: ExperimentReport, grid) -> list[FigureRow]:
@@ -348,11 +350,9 @@ def _config_comments(report: ExperimentReport) -> dict:
     return comments
 
 
-def emit_figure_csv(report: ExperimentReport, grid, path=None) -> Path:
+def emit_figure_csv(report: ExperimentReport, grid, path) -> Path:
     """Write the figure CSV; the resolved configuration rides along as
     ``#`` comment lines above the fixed header."""
-    if path is None:
-        path = Path(report.config.output_dir) / "figure1.csv"
     rows = (
         ",".join([repr(row.x), *map(format_probability, astuple(row)[1:])])
         for row in figure_rows(report, grid)

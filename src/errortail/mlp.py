@@ -67,19 +67,37 @@ class MlpModel:
     """Layer weights plus the input and output affine maps.
 
     ``weights[i]`` has shape (widths[i+1], widths[i]); biases match the
-    output side. Inputs are normalized as (x - input_lower) / (input_upper
-    - input_lower), and the raw network output is mapped to USD through
-    ``target_scale`` and ``target_offset``.
+    output side. Hidden layers apply ReLU. Inputs are normalized as
+    (x - input_lower) / (input_upper - input_lower), and the raw network
+    output is multiplied by ``target_scale`` to give USD.
     """
 
     layer_widths: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    activation: str
     input_lower: np.ndarray
     input_upper: np.ndarray
     target_scale: float
-    target_offset: float
+
+    def __post_init__(self) -> None:
+        """The one model rule, for a fresh and for a loaded model."""
+        self.input_lower = np.asarray(self.input_lower, dtype=float)
+        self.input_upper = np.asarray(self.input_upper, dtype=float)
+        DomainBox(self.input_lower, self.input_upper)
+        self.layer_widths = widths = check_widths(self.layer_widths, len(self.input_lower))
+        if len(self.weights) != len(widths) - 1 or len(self.biases) != len(widths) - 1:
+            raise ValueError(
+                f"{len(widths)} layer widths need {len(widths) - 1} layers, "
+                f"got {len(self.weights)}"
+            )
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if w.shape != (widths[i + 1], widths[i]) or b.shape != (widths[i + 1],):
+                raise ValueError(f"layer {i} arrays do not match layer_widths")
+        self.target_scale = float(self.target_scale)
+        if not (math.isfinite(self.target_scale) and self.target_scale != 0.0):
+            raise ValueError(
+                f"target_scale must be finite and nonzero, got {self.target_scale}"
+            )
 
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list, weight then bias per layer."""
@@ -129,7 +147,6 @@ def init_model(
     seed: int,
     input_box: DomainBox = C_TRAIN,
     target_scale: float = DEFAULT_TARGET_SCALE,
-    target_offset: float = 0.0,
 ) -> MlpModel:
     """Uniformly initialized network, deterministic given the seed.
 
@@ -137,8 +154,6 @@ def init_model(
     biases start at zero. The widths must pass :func:`check_widths`.
     """
     widths = check_widths(widths, len(input_box.lower))
-    if target_scale == 0.0:
-        raise ValueError("target_scale must be nonzero")
     rng = generator(seed)
     weights = []
     biases = []
@@ -146,16 +161,7 @@ def init_model(
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        layer_widths=widths,
-        weights=weights,
-        biases=biases,
-        activation="relu",
-        input_lower=np.asarray(input_box.lower, dtype=float),
-        input_upper=np.asarray(input_box.upper, dtype=float),
-        target_scale=float(target_scale),
-        target_offset=float(target_offset),
-    )
+    return MlpModel(widths, weights, biases, input_box.lower, input_box.upper, target_scale)
 
 
 def _normalize(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -184,7 +190,7 @@ def _forward_raw(
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted prices in USD for an (n, d) input matrix."""
     raw, _ = _forward_raw(model, np.asarray(x, dtype=float))
-    return raw * model.target_scale + model.target_offset
+    return raw * model.target_scale
 
 
 def forward(model: MlpModel, contract: OptionContract) -> float:
@@ -209,7 +215,7 @@ def _gradient_arrays(
 
 
 def scale_targets(model: MlpModel, targets_usd: np.ndarray) -> np.ndarray:
-    return (np.asarray(targets_usd, dtype=float) - model.target_offset) / model.target_scale
+    return np.asarray(targets_usd, dtype=float) / model.target_scale
 
 
 def _labeled(x, prices) -> tuple[np.ndarray, np.ndarray]:
@@ -287,10 +293,6 @@ class TrainingReport:
     train_size: int
     validation_size: int
 
-    @property
-    def final_validation_mse(self) -> float:
-        return self.validation_mse[-1]
-
 
 def _mse_usd(model: MlpModel, x: np.ndarray, y_usd: np.ndarray) -> float:
     pred = forward_batch(model, x)
@@ -361,11 +363,11 @@ def save_model(model: MlpModel, path) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "layer_widths": list(model.layer_widths),
-        "activation": model.activation,
+        "activation": "relu",
         "input_lower": model.input_lower.tolist(),
         "input_upper": model.input_upper.tolist(),
         "target_scale": model.target_scale,
-        "target_offset": model.target_offset,
+        "target_offset": 0.0,
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}
             for w, b in zip(model.weights, model.biases)
@@ -386,21 +388,19 @@ def load_model(path) -> MlpModel:
             f"{path}: unsupported model format_version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
-    if doc.get("activation") != "relu":
-        raise ValueError(f"{path}: unsupported activation {doc.get('activation')!r}")
-    widths = tuple(int(w) for w in doc["layer_widths"])
-    weights = [np.asarray(layer["weights"], dtype=float) for layer in doc["layers"]]
-    biases = [np.asarray(layer["bias"], dtype=float) for layer in doc["layers"]]
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if w.shape != (widths[i + 1], widths[i]) or b.shape != (widths[i + 1],):
-            raise ValueError(f"{path}: layer {i} arrays do not match layer_widths")
-    return MlpModel(
-        layer_widths=widths,
-        weights=weights,
-        biases=biases,
-        activation="relu",
-        input_lower=np.asarray(doc["input_lower"], dtype=float),
-        input_upper=np.asarray(doc["input_upper"], dtype=float),
-        target_scale=float(doc["target_scale"]),
-        target_offset=float(doc["target_offset"]),
-    )
+    for key, fixed in (("activation", "relu"), ("target_offset", 0.0)):
+        if doc.get(key) != fixed:
+            raise ValueError(f"{path}: unsupported {key} {doc.get(key)!r}")
+    try:
+        return MlpModel(
+            layer_widths=doc["layer_widths"],
+            weights=[np.asarray(layer["weights"], dtype=float) for layer in doc["layers"]],
+            biases=[np.asarray(layer["bias"], dtype=float) for layer in doc["layers"]],
+            input_lower=doc["input_lower"],
+            input_upper=doc["input_upper"],
+            target_scale=doc["target_scale"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -4,8 +4,8 @@ The ground-truth pricer is a Cox-Ross-Rubinstein tree with backward
 induction: up factor exp(vol * sqrt(dt)), down factor its reciprocal, and
 risk-neutral up-probability (exp((r - q) dt) - d) / (u - d). Maturities are
 quoted in months and divided by 12 into years. Strikes are quoted as a
-fraction of the initial stock price, which defaults to 100 USD so that one
-U.S. cent is 0.01 in price units.
+fraction of one initial stock price, 100 USD, so that one U.S. cent is 0.01
+in price units.
 
 A closed-form European put serves as an independent validator (with zero
 interest early exercise of an American put is never strictly optimal, so
@@ -31,6 +31,7 @@ from .textio import read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
+CHUNK_SIZE = 2048  # contracts per kernel call and per worker task
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
 _POSITIVE = [0, 1, 4]  # K, T and vol
@@ -104,9 +105,9 @@ C_TEST = DomainBox(
 )
 
 
-def _crr_put_batch(params: np.ndarray, spot: float, steps: int) -> np.ndarray:
+def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
     """Backward induction over one shared step count, one contract per row."""
-    strike = params[:, 0] * spot
+    strike = params[:, 0] * SPOT_REFERENCE
     dt = (params[:, 1] / 12.0) / steps
     r, q, vol = params[:, 2], params[:, 3], params[:, 4]
 
@@ -126,10 +127,10 @@ def _crr_put_batch(params: np.ndarray, spot: float, steps: int) -> np.ndarray:
     pd = (discount * (1.0 - prob_up))[:, None]
     strike_col = strike[:, None]
 
-    # Stock prices at level i, node j are spot * up^(2j - i). One power
+    # Stock prices at level i, node j are S0 * up^(2j - i). One power
     # table per batch keeps every node exact (no drift from repeated
     # multiplication); level i reads the strided slice below.
-    powers = spot * up[:, None] ** np.arange(-steps, steps + 1)[None, :]
+    powers = SPOT_REFERENCE * up[:, None] ** np.arange(-steps, steps + 1)[None, :]
     value = np.maximum(strike_col - powers[:, ::2], 0.0)
     for level in range(steps - 1, -1, -1):
         value = pu * value[:, 1 : level + 2] + pd * value[:, : level + 1]
@@ -138,48 +139,34 @@ def _crr_put_batch(params: np.ndarray, spot: float, steps: int) -> np.ndarray:
     return value[:, 0]
 
 
-def crr_american_put(
-    contract: OptionContract,
-    spot: float = SPOT_REFERENCE,
-    steps: int = DEFAULT_TREE_STEPS,
-) -> float:
+def crr_american_put(contract: OptionContract, steps: int = DEFAULT_TREE_STEPS) -> float:
     """Price an American put by backward induction on a binomial tree.
 
     The result is bounded below by the immediate exercise value and above
     by the dollar strike.
     """
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    return float(_crr_put_batch(contract_terms([contract]), spot, steps)[0])
+    return float(_crr_put_batch(contract_terms([contract]), steps)[0])
 
 
 def price_contracts(
-    contracts,
-    spot: float = SPOT_REFERENCE,
-    steps: int = DEFAULT_TREE_STEPS,
-    workers: int | None = None,
-    batch_size: int = 2048,
+    contracts, steps: int = DEFAULT_TREE_STEPS, workers: int | None = None
 ) -> np.ndarray:
     """Price many contracts (see :func:`contract_terms`); results follow input order.
 
-    Pricing is pure, so the work may be farmed across processes; neither
-    ``workers`` nor ``batch_size`` affects the returned bits.
+    Pricing is pure, so the work may be farmed across processes in chunks
+    of ``CHUNK_SIZE`` contracts; ``workers`` does not affect the returned bits.
     """
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     params = contract_terms(contracts)
-    chunks = [params[i : i + batch_size] for i in range(0, len(params), batch_size)]
+    chunks = [params[i : i + CHUNK_SIZE] for i in range(0, len(params), CHUNK_SIZE)]
     if workers is None or workers <= 1 or len(chunks) <= 1:
-        parts = [_crr_put_batch(chunk, spot, steps) for chunk in chunks]
+        parts = [_crr_put_batch(chunk, steps) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_crr_put_batch, chunks, [spot] * len(chunks), [steps] * len(chunks))
-            )
+            parts = list(pool.map(_crr_put_batch, chunks, [steps] * len(chunks)))
     return np.concatenate(parts) if parts else np.empty(0)
 
 
@@ -187,20 +174,19 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
-def bs_european_put(contract: OptionContract, spot: float = SPOT_REFERENCE) -> float:
+def bs_european_put(contract: OptionContract) -> float:
     """Closed-form European put with continuous dividend yield.
 
     Used as a test oracle and as a lower bound for the American price.
     """
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
+    s0 = SPOT_REFERENCE
     strike_pct, months, r, q, vol = contract_terms([contract])[0].tolist()
-    strike = strike_pct * spot
+    strike = strike_pct * s0
     t = months / 12.0
     sig_sqrt_t = vol * math.sqrt(t)
-    d1 = (math.log(spot / strike) + (r - q + 0.5 * vol * vol) * t) / sig_sqrt_t
+    d1 = (math.log(s0 / strike) + (r - q + 0.5 * vol * vol) * t) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    return strike * math.exp(-r * t) * _norm_cdf(-d2) - spot * math.exp(
+    return strike * math.exp(-r * t) * _norm_cdf(-d2) - s0 * math.exp(
         -q * t
     ) * _norm_cdf(-d1)
 

@@ -97,6 +97,11 @@ class TailFit:
                 raise ValueError(f"{name} must be finite, got {float(getattr(self, name))}")
         if not self.gamma_hat < 0.0:
             raise ValueError(f"gamma_hat must be negative, got {self.gamma_hat}")
+        # the tail formulas divide by gamma_hat; an overflow there collapses them to 0
+        if not math.isfinite(1.0 / float(self.gamma_hat)):
+            raise ValueError(
+                f"1/gamma_hat must be finite, got gamma_hat = {float(self.gamma_hat)}"
+            )
         if not self.xstar_hat > self.u:
             raise ValueError("xstar_hat must exceed the threshold u")
         object.__setattr__(

@@ -38,10 +38,16 @@ class TestPrice:
             "--steps", "200",
         )
         assert code == 0
-        expected = crr_american_put(
-            OptionContract(1.0, 12.0, 0.02, 0.0, 0.2), 100.0, 200
-        )
+        expected = crr_american_put(OptionContract(1.0, 12.0, 0.02, 0.0, 0.2), 200)
         assert float(out.strip()) == expected
+
+    def test_spot_is_not_an_option(self, capsys):
+        # every price is for an initial stock price of 100 USD
+        with pytest.raises(SystemExit) as info:
+            main(["price", "-K", "1.0", "-T", "12", "-r", "0.02", "-q", "0.0",
+                  "--volatility", "0.2", "--spot", "50"])
+        assert info.value.code == 2
+        assert "--spot" in capsys.readouterr().err
 
     def test_rejects_bad_contract(self, capsys):
         code, _, err = run_cli(
@@ -119,6 +125,14 @@ class TestFitAndQuery:
         code, out, err = run_cli(capsys, "tail-query", "--fit", str(fit_path))
         assert code == 1 and out == ""
         assert f"{fit_path}: xstar_hat must be finite" in err
+
+    def test_tail_query_rejects_overflowing_shape(self, capsys, tmp_path):
+        fit_path = tmp_path / "fit.txt"
+        fit_path.write_text("n = 10\nk = 2\nu = 1.0\nxstar_hat = 2.0\ngamma_hat = -1e-320\n")
+        for extra in ([], ["--x", "1.5"]):
+            code, out, err = run_cli(capsys, "tail-query", "--fit", str(fit_path), *extra)
+            assert code == 1 and out == ""
+            assert f"{fit_path}: 1/gamma_hat must be finite" in err
 
     def test_tail_query_rejects_truncated_fit_file(self, capsys, tmp_path):
         fit_path = tmp_path / "fit.txt"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -104,13 +106,12 @@ class TestInit:
 
 class TestForward:
     def test_zero_model_outputs_target_offset(self):
-        model = init_model([5, 4, 1], seed=0, target_offset=0.0)
+        # the target offset is fixed at 0
+        model = init_model([5, 4, 1], seed=0)
         for w in model.weights:
             w[:] = 0.0
         contract = OptionContract(1.0, 12.0, 0.02, 0.01, 0.2)
         assert forward(model, contract) == 0.0
-        model.target_offset = 3.5
-        assert forward(model, contract) == 3.5
 
     def test_output_bias_scales_to_target_units(self):
         model = init_model([5, 4, 1], seed=0, target_scale=100.0)
@@ -143,7 +144,7 @@ class TestForward:
                 for j in range(4)
             ]
             raw = float(np.dot(model.weights[1][0], hidden)) + model.biases[1][0]
-            assert raw * model.target_scale + model.target_offset == pytest.approx(
+            assert raw * model.target_scale == pytest.approx(
                 float(want), abs=1e-12
             )
 
@@ -386,3 +387,49 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(ValueError, match="format_version"):
             load_model(path)
+
+
+def _three_outputs(doc):
+    doc["layer_widths"] = [5, 4, 3]
+    doc["layers"][1] = {"weights": [[0.1] * 4] * 3, "bias": [0.0] * 3}
+
+
+# model-file edits that break the model rule, and the message naming it
+BROKEN_MODEL_FILES = [
+    pytest.param(
+        lambda doc: doc.update(layer_widths=[5, 4, 1, 7]), "last width must be 1, got 7",
+        id="widths-beyond-layers",
+    ),
+    pytest.param(
+        lambda doc: doc.update(layer_widths=[5, 4, 4, 1]), "4 layer widths need 3 layers, got 2",
+        id="missing-layer",
+    ),
+    pytest.param(_three_outputs, "last width must be 1, got 3", id="three-outputs"),
+    pytest.param(
+        lambda doc: doc.update(target_scale=0.0), "target_scale must be finite and nonzero",
+        id="zero-target-scale",
+    ),
+    pytest.param(
+        lambda doc: doc.update(input_upper=doc["input_lower"]), "need lower < upper",
+        id="flat-input-box",
+    ),
+    pytest.param(
+        lambda doc: doc.update(target_offset=3.5), "unsupported target_offset 3.5",
+        id="target-offset",
+    ),
+    pytest.param(
+        lambda doc: doc.pop("target_scale"), "missing field 'target_scale'",
+        id="missing-field",
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, message", BROKEN_MODEL_FILES)
+def test_load_model_applies_the_model_rule(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    save_model(init_model([5, 4, 1], seed=0), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{path}: {message}"):
+        load_model(path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from errortail.pricing import (
+    CHUNK_SIZE,
     C_TEST,
     C_TRAIN,
     DomainBox,
@@ -72,8 +73,8 @@ class TestContractValidation:
 class TestTreePricer:
     def test_zero_rate_matches_european_closed_form(self):
         contract = OptionContract(1.0, 12.0, 0.0, 0.0, 0.2)
-        tree = crr_american_put(contract, spot=100.0, steps=1000)
-        closed = bs_european_put(contract, spot=100.0)
+        tree = crr_american_put(contract, steps=1000)
+        closed = bs_european_put(contract)
         assert abs(tree - closed) <= TREE_TOL
 
     def test_zero_rate_with_dividends_matches_european(self):
@@ -86,22 +87,22 @@ class TestTreePricer:
                 dividend_yield=float(g.uniform(0.0, 0.05)),
                 volatility=float(g.uniform(0.05, 0.55)),
             )
-            tree = crr_american_put(contract, spot=100.0, steps=1000)
-            closed = bs_european_put(contract, spot=100.0)
+            tree = crr_american_put(contract, steps=1000)
+            closed = bs_european_put(contract)
             assert abs(tree - closed) <= TREE_TOL
 
     def test_intrinsic_lower_bound_deep_in_the_money(self):
         contract = OptionContract(1.6, 12.0, 0.02, 0.0, 0.05)
-        assert crr_american_put(contract, spot=100.0, steps=1000) >= 60.0
+        assert crr_american_put(contract, steps=1000) >= 60.0
 
     def test_price_within_strike_bound(self):
         for contract in random_contracts(C_TRAIN, 50, seed=3):
-            price = crr_american_put(contract, spot=100.0, steps=200)
+            price = crr_american_put(contract, steps=200)
             assert 0.0 <= price <= contract.strike_pct * 100.0
 
     def test_self_convergence(self):
         contract = OptionContract(1.0, 12.0, 0.05, 0.0, 0.2)
-        prices = [crr_american_put(contract, 100.0, s) for s in (500, 1000, 2000)]
+        prices = [crr_american_put(contract, s) for s in (500, 1000, 2000)]
         assert abs(prices[1] - prices[0]) < TREE_TOL
         assert abs(prices[2] - prices[1]) < TREE_TOL
 
@@ -109,7 +110,7 @@ class TestTreePricer:
         contracts = random_contracts(C_TRAIN, 60, seed=4)
         tree = price_contracts(contracts, steps=1000)
         for contract, amer in zip(contracts, tree):
-            eur = bs_european_put(contract, spot=100.0)
+            eur = bs_european_put(contract)
             assert eur >= 0.0
             assert amer >= eur - TREE_TOL
 
@@ -125,9 +126,7 @@ class TestTreePricer:
                 base.dividend_yield,
                 base.volatility,
             )
-            assert crr_american_put(higher, 100.0, 500) >= crr_american_put(
-                base, 100.0, 500
-            ) - 1e-9
+            assert crr_american_put(higher, 500) >= crr_american_put(base, 500) - 1e-9
 
     def test_monotone_in_volatility(self):
         g = generator(6)
@@ -141,39 +140,31 @@ class TestTreePricer:
                 base.dividend_yield,
                 base.volatility + bump,
             )
-            assert crr_american_put(higher, 100.0, 500) >= crr_american_put(
-                base, 100.0, 500
-            ) - 1e-9
+            assert crr_american_put(higher, 500) >= crr_american_put(base, 500) - 1e-9
 
     def test_batch_matches_scalar_bitwise(self):
         contracts = random_contracts(C_TRAIN, 30, seed=7)
         batch = price_contracts(contracts, steps=100)
-        scalar = np.array([crr_american_put(c, 100.0, 100) for c in contracts])
+        scalar = np.array([crr_american_put(c, 100) for c in contracts])
         assert np.array_equal(batch, scalar)
 
-    def test_batching_does_not_change_bits(self):
-        contracts = random_contracts(C_TRAIN, 64, seed=8)
-        a = price_contracts(contracts, steps=100, batch_size=64)
-        b = price_contracts(contracts, steps=100, batch_size=7)
-        assert np.array_equal(a, b)
-
     def test_workers_do_not_change_bits(self):
-        contracts = random_contracts(C_TRAIN, 64, seed=9)
-        a = price_contracts(contracts, steps=100, batch_size=16)
-        b = price_contracts(contracts, steps=100, batch_size=16, workers=2)
-        assert np.array_equal(a, b)
+        # more than two chunks, the last one short, so the pool path runs
+        contracts = random_contracts(C_TRAIN, 2 * CHUNK_SIZE + 5, seed=9)
+        serial = price_contracts(contracts, steps=4)
+        scalar = np.array([crr_american_put(c, 4) for c in contracts])
+        assert np.array_equal(serial, scalar)
+        assert np.array_equal(price_contracts(contracts, steps=4, workers=2), serial)
 
     def test_deterministic(self):
         contract = OptionContract(0.9, 11.5, 0.02, 0.01, 0.3)
-        assert crr_american_put(contract, 100.0, 777) == crr_american_put(
-            contract, 100.0, 777
-        )
+        assert crr_american_put(contract, 777) == crr_american_put(contract, 777)
 
     def test_rejects_arbitrage_discretization(self):
         # a huge dividend yield pushes the up-probability below zero
         contract = OptionContract(1.0, 12.0, 0.0, 10.0, 0.05)
         with pytest.raises(ValueError, match="probability"):
-            crr_american_put(contract, 100.0, 12)
+            crr_american_put(contract, 12)
 
     def test_train_box_corners_admit_no_arbitrage(self):
         # every corner of the training box keeps the up-probability in [0, 1]
@@ -186,25 +177,25 @@ class TestTreePricer:
         assert prices.shape == (32,)
         assert np.all(prices >= 0.0)
 
-    def test_rejects_bad_steps_and_spot(self):
+    def test_rejects_bad_steps(self):
         contract = OptionContract(1.0, 12.0, 0.02, 0.0, 0.2)
         with pytest.raises(ValueError, match="steps"):
-            crr_american_put(contract, 100.0, 0)
-        with pytest.raises(ValueError, match="spot"):
-            crr_american_put(contract, -1.0, 100)
+            crr_american_put(contract, 0)
+        with pytest.raises(ValueError, match="steps"):
+            price_contracts([contract], steps=0)
 
 
 class TestEuropeanClosedForm:
     def test_nonnegative_and_below_discounted_strike(self):
         for contract in random_contracts(C_TRAIN, 50, seed=10):
-            price = bs_european_put(contract, spot=100.0)
+            price = bs_european_put(contract)
             strike = contract.strike_pct * 100.0
             t = contract.maturity_months / 12.0
             assert 0.0 <= price <= strike * np.exp(-contract.rate * t)
 
     def test_large_volatility_approaches_discounted_strike(self):
         strike_now = 100.0 * np.exp(-0.02)
-        price = bs_european_put(OptionContract(1.0, 12.0, 0.02, 0.0, 40.0), 100.0)
+        price = bs_european_put(OptionContract(1.0, 12.0, 0.02, 0.0, 40.0))
         assert price <= strike_now
         assert price >= strike_now - 1e-6
 

@@ -315,6 +315,9 @@ class TestTailFit:
             ("xstar_hat", math.inf),
             ("xstar_hat", math.nan),
             ("gamma_hat", -math.inf),
+            # 1/gamma_hat overflows to -inf, which collapses the fitted tail to 0
+            ("gamma_hat", -1e-320),
+            ("gamma_hat", -5e-324),
         ],
     )
     def test_non_finite_fit_rejected_by_name(self, field, value):
@@ -322,6 +325,10 @@ class TestTailFit:
         terms[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TailFit(**terms)
+
+    def test_smallest_representable_shape_keeps_a_tail(self):
+        fit = TailFit(n=10, k=2, u=1.0, xstar_hat=2.0, gamma_hat=-1e-300)
+        assert 0.0 < mean_excess(fit) < fit.xstar_hat - fit.u
 
     def test_plug_in_composition(self):
         values = generator(11).exponential(1.0, 500)
