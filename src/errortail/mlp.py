@@ -382,6 +382,8 @@ def load_model(path) -> MlpModel:
     """Load a model persisted by :func:`save_model`."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(

@@ -12,9 +12,10 @@ interest early exercise of an American put is never strictly optimal, so
 the two prices agree up to discretization error).
 
 The backward induction keeps one tree level in memory and is vectorized
-across contracts; each contract occupies one row of the working arrays, so
-prices are bit-identical regardless of how contracts are batched or farmed
-across worker processes.
+across contracts. The working arrays are node-major, shape (nodes,
+contracts): each contract occupies one column and no operation mixes
+columns, so prices are bit-identical regardless of how contracts are
+ordered, batched or farmed across worker processes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .textio import read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
-CHUNK_SIZE = 2048  # contracts per kernel call and per worker task
+CHUNK_SIZE = 256  # contracts per kernel call and per worker task
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
 _POSITIVE = [0, 1, 4]  # K, T and vol
@@ -106,7 +107,7 @@ C_TEST = DomainBox(
 
 
 def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
-    """Backward induction over one shared step count, one contract per row."""
+    """Backward induction over one shared step count, one contract per column."""
     strike = params[:, 0] * SPOT_REFERENCE
     dt = (params[:, 1] / 12.0) / steps
     r, q, vol = params[:, 2], params[:, 3], params[:, 4]
@@ -123,20 +124,37 @@ def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
             "admits arbitrage for these parameters"
         )
     discount = np.exp(-r * dt)
-    pu = (discount * prob_up)[:, None]
-    pd = (discount * (1.0 - prob_up))[:, None]
-    strike_col = strike[:, None]
+    pu = discount * prob_up
+    pd = discount * (1.0 - prob_up)
 
-    # Stock prices at level i, node j are S0 * up^(2j - i). One power
-    # table per batch keeps every node exact (no drift from repeated
-    # multiplication); level i reads the strided slice below.
-    powers = SPOT_REFERENCE * up[:, None] ** np.arange(-steps, steps + 1)[None, :]
-    value = np.maximum(strike_col - powers[:, ::2], 0.0)
+    # Stock prices at level i, node j are S0 * up^(2j - i). Row k of the
+    # table holds the intrinsic value strike - S0 * up^(k - steps), built in
+    # place from one power per node, so every node is exact (no drift from
+    # repeated multiplication); level i reads every other row.
+    intrinsic = np.power(up, np.arange(-steps, steps + 1)[:, None])
+    np.multiply(intrinsic, SPOT_REFERENCE, out=intrinsic)
+    np.subtract(strike, intrinsic, out=intrinsic)
+    value = np.maximum(intrinsic[::2], 0.0)
+    scratch = np.empty_like(value)
+
+    # Zero trim. Terminal node j is the lowest-stock descendant of node
+    # (i, j), so if j is out of the money for a contract, node (i, j) has
+    # zero continuation and non-positive intrinsic value: it is exactly 0.0
+    # at every level. The stock price rises with j, so each contract's
+    # in-the-money terminal rows are a prefix, and so is their union over
+    # contracts; rows j >= itm, the length of that union, stay 0.0 and are
+    # never updated. Every other node takes the same operations in the same
+    # order as without the trim, so the bits do not change.
+    itm = int(np.count_nonzero(value.any(axis=1)))
     for level in range(steps - 1, -1, -1):
-        value = pu * value[:, 1 : level + 2] + pd * value[:, : level + 1]
-        stock = powers[:, steps - level : steps + level + 1 : 2]
-        np.maximum(value, strike_col - stock, out=value)
-    return value[:, 0]
+        nodes = min(level + 1, itm)
+        node_value = value[:nodes]
+        np.multiply(pu, value[1 : nodes + 1], out=scratch[:nodes])
+        np.multiply(pd, node_value, out=node_value)
+        np.add(scratch[:nodes], node_value, out=node_value)
+        first = steps - level
+        np.maximum(node_value, intrinsic[first : first + 2 * nodes : 2], out=node_value)
+    return value[0].copy()
 
 
 def crr_american_put(contract: OptionContract, steps: int = DEFAULT_TREE_STEPS) -> float:
@@ -161,13 +179,21 @@ def price_contracts(
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     params = contract_terms(contracts)
-    chunks = [params[i : i + CHUNK_SIZE] for i in range(0, len(params), CHUNK_SIZE)]
+    # Sorting by moneyness log K / (vol sqrt(T)) orders contracts by their
+    # count of in-the-money terminal nodes, so each chunk's zero trim is
+    # tight. Columns never mix, so the order does not change the bits.
+    moneyness = np.log(params[:, 0]) / (params[:, 4] * np.sqrt(params[:, 1]))
+    order = np.argsort(moneyness)
+    ordered = params[order]
+    chunks = [ordered[i : i + CHUNK_SIZE] for i in range(0, len(ordered), CHUNK_SIZE)]
     if workers is None or workers <= 1 or len(chunks) <= 1:
         parts = [_crr_put_batch(chunk, steps) for chunk in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_crr_put_batch, chunks, [steps] * len(chunks)))
-    return np.concatenate(parts) if parts else np.empty(0)
+    prices = np.empty(len(params))
+    prices[order] = np.concatenate(parts) if parts else np.empty(0)
+    return prices
 
 
 def _norm_cdf(x: float) -> float:

@@ -227,9 +227,13 @@ def exceedance_probability(fit: TailFit, x):
     span = fit.xstar_hat - fit.u
     inside = arr < fit.xstar_hat
     out = np.zeros_like(arr)
-    out[inside] = rate * np.exp(
-        np.log1p(-(arr[inside] - fit.u) / span) * (-1.0 / fit.gamma_hat)
-    )
+    scale = -1.0 / float(fit.gamma_hat)
+    # For gamma_hat near 0 the product below would overflow to -inf. Raising
+    # the log to -800 / scale first keeps the product at or above -800, and
+    # changes only products below -800, whose exp is already 0.0. (For a
+    # very steep tail -800 / scale is -inf in float arithmetic, no clamp.)
+    exponent = np.maximum(np.log1p(-(arr[inside] - fit.u) / span), -800.0 / scale) * scale
+    out[inside] = rate * np.exp(exponent)
     return float(out) if scalar else out
 
 

@@ -226,6 +226,19 @@ class TestTrainAndErrors:
         sample = read_error_csv(errors_path)
         assert sample.n == 300
 
+    def test_errors_rejects_non_object_model(self, capsys, tmp_path):
+        model_path = tmp_path / "m.json"
+        model_path.write_text("[]")
+        code, _, err = run_cli(
+            capsys,
+            "errors",
+            "--model", str(model_path),
+            "--data", str(tmp_path / "unread.csv"),
+            "--out", str(tmp_path / "errors.csv"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: expected a JSON object")
+
     def test_train_defaults_follow_configs(self):
         args = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json"])
         defaults = TrainConfig()

@@ -390,37 +390,40 @@ class TestPersistence:
 
 
 def _three_outputs(doc):
-    doc["layer_widths"] = [5, 4, 3]
-    doc["layers"][1] = {"weights": [[0.1] * 4] * 3, "bias": [0.0] * 3}
+    layers = [doc["layers"][0], {"weights": [[0.1] * 4] * 3, "bias": [0.0] * 3}]
+    return {**doc, "layer_widths": [5, 4, 3], "layers": layers}
 
 
-# model-file edits that break the model rule, and the message naming it
+# model-file edits (each returns the document to write) that break the model
+# rule, and the message naming it
 BROKEN_MODEL_FILES = [
     pytest.param(
-        lambda doc: doc.update(layer_widths=[5, 4, 1, 7]), "last width must be 1, got 7",
+        lambda doc: {**doc, "layer_widths": [5, 4, 1, 7]}, "last width must be 1, got 7",
         id="widths-beyond-layers",
     ),
     pytest.param(
-        lambda doc: doc.update(layer_widths=[5, 4, 4, 1]), "4 layer widths need 3 layers, got 2",
+        lambda doc: {**doc, "layer_widths": [5, 4, 4, 1]}, "4 layer widths need 3 layers, got 2",
         id="missing-layer",
     ),
     pytest.param(_three_outputs, "last width must be 1, got 3", id="three-outputs"),
     pytest.param(
-        lambda doc: doc.update(target_scale=0.0), "target_scale must be finite and nonzero",
+        lambda doc: {**doc, "target_scale": 0.0}, "target_scale must be finite and nonzero",
         id="zero-target-scale",
     ),
     pytest.param(
-        lambda doc: doc.update(input_upper=doc["input_lower"]), "need lower < upper",
+        lambda doc: {**doc, "input_upper": doc["input_lower"]}, "need lower < upper",
         id="flat-input-box",
     ),
     pytest.param(
-        lambda doc: doc.update(target_offset=3.5), "unsupported target_offset 3.5",
+        lambda doc: {**doc, "target_offset": 3.5}, "unsupported target_offset 3.5",
         id="target-offset",
     ),
     pytest.param(
-        lambda doc: doc.pop("target_scale"), "missing field 'target_scale'",
+        lambda doc: {key: doc[key] for key in doc if key != "target_scale"},
+        "missing field 'target_scale'",
         id="missing-field",
     ),
+    pytest.param(lambda doc: [doc], "expected a JSON object, got list", id="not-an-object"),
 ]
 
 
@@ -429,7 +432,6 @@ def test_load_model_applies_the_model_rule(tmp_path, edit, message):
     path = tmp_path / "model.json"
     save_model(init_model([5, 4, 1], seed=0), path)
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(edit(doc)))
     with pytest.raises(ValueError, match=f"^{path}: {message}"):
         load_model(path)

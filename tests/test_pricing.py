@@ -39,6 +39,44 @@ def random_contracts(box: DomainBox, count: int, seed: int) -> list[OptionContra
     return sample_uniform(box, count, seed)
 
 
+def row_major_oracle(params: np.ndarray, steps: int) -> np.ndarray:
+    """The tree kernel as first written: one contract per row, every node
+    updated at every level. Kept frozen as the bit-identity reference."""
+    strike = params[:, 0] * 100.0
+    dt = (params[:, 1] / 12.0) / steps
+    r, q, vol = params[:, 2], params[:, 3], params[:, 4]
+    up = np.exp(vol * np.sqrt(dt))
+    down = 1.0 / up
+    growth = np.exp((r - q) * dt)
+    prob_up = (growth - down) / (up - down)
+    discount = np.exp(-r * dt)
+    pu = (discount * prob_up)[:, None]
+    pd = (discount * (1.0 - prob_up))[:, None]
+    strike_col = strike[:, None]
+    powers = 100.0 * up[:, None] ** np.arange(-steps, steps + 1)[None, :]
+    value = np.maximum(strike_col - powers[:, ::2], 0.0)
+    for level in range(steps - 1, -1, -1):
+        value = pu * value[:, 1 : level + 2] + pd * value[:, : level + 1]
+        stock = powers[:, steps - level : steps + level + 1 : 2]
+        np.maximum(value, strike_col - stock, out=value)
+    return value[:, 0]
+
+
+def mixed_moneyness_contracts() -> np.ndarray:
+    """More than two chunks in shuffled order: the training box, deep
+    in-the-money puts, and enough deep out-of-the-money puts (price exactly
+    0.0) that one chunk sorted by moneyness has no node in the money."""
+    g = generator(17)
+    box = contract_terms(sample_uniform(C_TRAIN, CHUNK_SIZE, seed=18))
+    deep_out = contract_terms(sample_uniform(C_TRAIN, CHUNK_SIZE + 3, seed=19))
+    deep_out[:, 0] = g.uniform(0.02, 0.05, len(deep_out))
+    deep_out[:, 4] = g.uniform(0.05, 0.1, len(deep_out))
+    deep_in = contract_terms(sample_uniform(C_TRAIN, 40, seed=20))
+    deep_in[:, 0] = g.uniform(2.0, 4.0, len(deep_in))
+    contracts = np.concatenate([box, deep_out, deep_in])
+    return contracts[g.permutation(len(contracts))]
+
+
 class TestContractValidation:
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError, match="strike_pct"):
@@ -155,6 +193,19 @@ class TestTreePricer:
         scalar = np.array([crr_american_put(c, 4) for c in contracts])
         assert np.array_equal(serial, scalar)
         assert np.array_equal(price_contracts(contracts, steps=4, workers=2), serial)
+
+    @pytest.mark.parametrize("steps", [1, 2, 37, 500])
+    def test_matches_row_major_oracle_bitwise(self, steps):
+        contracts = mixed_moneyness_contracts()
+        oracle = row_major_oracle(contracts, steps)
+        assert len(contracts) > 2 * CHUNK_SIZE
+        deep_out = contracts[:, 0] <= 0.05
+        assert np.count_nonzero(deep_out) > CHUNK_SIZE and np.all(oracle[deep_out] == 0.0)
+        assert np.all(oracle[contracts[:, 0] >= 2.0] > 0.0)
+        assert np.array_equal(price_contracts(contracts, steps), oracle)
+        assert np.array_equal(price_contracts(contracts, steps, workers=2), oracle)
+        scalar = [crr_american_put(OptionContract(*terms), steps) for terms in contracts]
+        assert np.array_equal(scalar, oracle)
 
     def test_deterministic(self):
         contract = OptionContract(0.9, 11.5, 0.02, 0.01, 0.3)

@@ -361,6 +361,15 @@ class TestExceedanceProbability:
         assert exceedance_probability(fit, 2.0) == 0.0
         assert exceedance_probability(fit, 5.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "gamma_hat, expected", [(-1e-308, 0.0), (-1e-300, 0.0), (np.float64(-1e308), 0.2)]
+    )
+    def test_extreme_shapes_without_overflow_warning(self, gamma_hat, expected):
+        # at -1e-308 the unclamped exponent overflows to -inf, at -1e308 the
+        # clamp itself does; the suite turns either warning into an error
+        fit = TailFit(n=10, k=2, u=1.0, xstar_hat=2.0, gamma_hat=gamma_hat)
+        assert exceedance_probability(fit, 1.999999) == expected
+
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
             exceedance_probability(self.fit(), 0.99)
