@@ -7,7 +7,7 @@ around an American-put binomial-tree oracle and a from-scratch neural
 surrogate to exercise them end to end.
 """
 
-from .gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample, gpd_sf
+from .gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample
 from .mlp import (
     AdamState,
     MlpModel,
@@ -16,7 +16,6 @@ from .mlp import (
     adam_init,
     adam_step,
     error_sample,
-    forward,
     forward_batch,
     gradient,
     init_model,
@@ -41,7 +40,6 @@ from .pricing import (
 from .tail import (
     DegenerateSampleError,
     ErrorSample,
-    ErrorSummary,
     TailFit,
     cent_threshold_k,
     endpoint_estimate,
@@ -49,10 +47,8 @@ from .tail import (
     exceeds_max_probability,
     markov_bound,
     mean_excess,
-    one_percent_k,
     read_error_csv,
     shape_estimate_known_endpoint,
-    summarize,
     tail_fit,
     write_error_csv,
 )

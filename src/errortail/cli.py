@@ -63,9 +63,7 @@ def _cmd_price(args) -> int:
 
 def _cmd_train(args) -> int:
     x, prices = pricing.read_priced_csv(args.data)
-    widths = exp.paper_scale_config().widths if args.paper_scale else tuple(
-        int(w) for w in args.widths.split(",")
-    )
+    widths = exp.paper_scale_config().widths if args.paper_scale else args.widths
     config = mlp.TrainConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
     model, report = mlp.train(x, prices, widths, config)
     mlp.save_model(model, args.out)
@@ -163,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a surrogate on a priced CSV")
     p.add_argument("--data", required=True, help="CSV with header K,T,r,q,sigma,price")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--widths", default=",".join(map(str, exp.ExperimentConfig().widths)))
+    p.add_argument("--widths", type=exp.parse_widths, default=exp.ExperimentConfig().widths)
     p.add_argument("--paper-scale", action="store_true", help="use the paper-scale widths")
     for name in _TRAIN_FLAGS:
         default = getattr(train_defaults, name)

@@ -31,13 +31,14 @@ from .tail import (
     DegenerateSampleError,
     ErrorSample,
     TailFit,
+    cent_threshold_k,
     exceedance_probability,
     markov_bound,
     mean_excess,
     tail_fit,
     write_error_csv,
 )
-from .textio import parse_key_values, read_key_values, read_table, write_table
+from .textio import read_key_values, read_table, write_table
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -52,7 +53,7 @@ class ExperimentConfig:
     train_samples: int = 20_000
     test_sets: int = 20
     test_set_size: int = 20_000
-    k: int = 54
+    k: int = cent_threshold_k(20_000)
     tree_steps: int = 500
     widths: tuple[int, ...] = (5, 64, 64, 64, 1)
     train_config: TrainConfig = field(default_factory=TrainConfig)
@@ -75,6 +76,11 @@ class ExperimentConfig:
         split_sizes(self.train_samples, self.train_config)
 
 
+def parse_widths(text: str) -> tuple[int, ...]:
+    """Layer widths written as comma-separated integers, e.g. ``5,64,1``."""
+    return tuple(int(w) for w in text.split(","))
+
+
 # The configuration file's fields in file order: key, the dataclass holding
 # the field, and the parser of its text.
 _CONFIG_FIELDS = (
@@ -83,7 +89,7 @@ _CONFIG_FIELDS = (
     ("test_set_size", ExperimentConfig, int),
     ("k", ExperimentConfig, int),
     ("tree_steps", ExperimentConfig, int),
-    ("widths", ExperimentConfig, lambda text: tuple(int(w) for w in text.split(","))),
+    ("widths", ExperimentConfig, parse_widths),
     ("epochs", TrainConfig, int),
     ("batch_size", TrainConfig, int),
     ("validation_fraction", TrainConfig, float),
@@ -94,15 +100,6 @@ _CONFIG_FIELDS = (
     ("master_seed", ExperimentConfig, int),
     ("output_dir", ExperimentConfig, str),
 )
-
-
-def _config_items(config: ExperimentConfig) -> dict[str, str]:
-    """Every configuration file field of ``config`` as text, in file order."""
-    items = {}
-    for key, owner, _ in _CONFIG_FIELDS:
-        value = getattr(config.train_config if owner is TrainConfig else config, key)
-        items[key] = ",".join(map(str, value)) if key == "widths" else str(value)
-    return items
 
 
 def desk_scale_config(**overrides) -> ExperimentConfig:
@@ -116,7 +113,7 @@ def paper_scale_config(**overrides) -> ExperimentConfig:
         train_samples=100_000,
         test_sets=100,
         test_set_size=100_000,
-        k=270,
+        k=cent_threshold_k(100_000),
         tree_steps=1000,
         widths=(5, 300, 300, 300, 1),
     )
@@ -161,7 +158,7 @@ class ExperimentReport:
     pooled_mean_excess_at_u_ref: float
     pooled: ErrorSample
     per_set_errors: list[ErrorSample]
-    training: TrainingReport | None
+    training: TrainingReport
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
@@ -255,7 +252,7 @@ def _aggregate(
     failures: list[tuple[int, str]],
     pooled: ErrorSample,
     per_set_errors: list[ErrorSample],
-    training_report: TrainingReport | None,
+    training_report: TrainingReport,
 ) -> ExperimentReport:
     good = [(f, e) for f, e in zip(fits, per_set_errors) if f is not None]
     if not good:
@@ -344,8 +341,14 @@ def format_probability(p: float) -> str:
 
 
 def _config_comments(report: ExperimentReport) -> dict:
-    comments = {"config_version": CONFIG_VERSION, **_config_items(report.config)}
-    del comments["output_dir"]
+    """The run's configuration fields as text, in file order, without
+    ``output_dir`` and with the resolved training seed."""
+    config = report.config
+    comments = {"config_version": CONFIG_VERSION}
+    for key, owner, _ in _CONFIG_FIELDS:
+        if key != "output_dir":
+            value = getattr(config.train_config if owner is TrainConfig else config, key)
+            comments[key] = ",".join(map(str, value)) if key == "widths" else str(value)
     comments["train_seed"] = report.resolved_train_seed
     return comments
 
@@ -373,14 +376,11 @@ def write_report(report: ExperimentReport, path) -> Path:
     buf.write("\n[config]\n")
     for key, value in _config_comments(report).items():
         buf.write(f"{key} = {value}\n")
-    if report.training is not None:
-        buf.write("\n[training]\n")
-        buf.write(f"train_size = {report.training.train_size}\n")
-        buf.write(f"validation_size = {report.training.validation_size}\n")
-        buf.write(f"final_train_mse_usd2 = {report.training.train_mse[-1]!r}\n")
-        buf.write(
-            f"final_validation_mse_usd2 = {report.training.validation_mse[-1]!r}\n"
-        )
+    buf.write("\n[training]\n")
+    buf.write(f"train_size = {report.training.train_size}\n")
+    buf.write(f"validation_size = {report.training.validation_size}\n")
+    buf.write(f"final_train_mse_usd2 = {report.training.train_mse[-1]!r}\n")
+    buf.write(f"final_validation_mse_usd2 = {report.training.validation_mse[-1]!r}\n")
     buf.write("\n[sets]\n")
     buf.write("index,n,k,u,xstar_hat,gamma_hat,sigma_u,exceed_at_u_ref,mean_excess\n")
     good_iter = iter(zip(report.exceed_at_u_ref, report.mean_excesses))
@@ -415,43 +415,6 @@ def write_report(report: ExperimentReport, path) -> Path:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
     return Path(path)
-
-
-def load_report_tables(path) -> tuple[dict, list[dict]]:
-    """Parse a report file into (flat key/value dict, per-set fit rows).
-
-    Degenerate sets appear in the fit rows with ``n`` set to None.
-    """
-    keyval_lines: list[tuple[int, str]] = []
-    sets: list[dict] = []
-    section = set_header = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if line.startswith("[") and line.endswith("]"):
-                section = line[1:-1]
-            elif section != "sets":
-                keyval_lines.append((lineno, line))
-            elif line and set_header is None:
-                set_header = line.split(",")
-            elif line:
-                fields = line.split(",")
-                if len(fields) != len(set_header):
-                    raise ValueError(
-                        f"{path}: line {lineno}: expected {len(set_header)} fields"
-                    )
-                row: dict = {"index": int(fields[0]), "n": None}
-                if fields[1] != "degenerate":
-                    row.update(zip(set_header[1:3], map(int, fields[1:3])))
-                    row.update(zip(set_header[3:], map(float, fields[3:])))
-                sets.append(row)
-    return parse_key_values(path, keyval_lines), sets
-
-
-def format_config(config: ExperimentConfig) -> str:
-    """Render a config as the flat key/value document :func:`load_config` reads."""
-    items = {"config_version": CONFIG_VERSION, **_config_items(config)}
-    return "".join(f"{key} = {value}\n" for key, value in items.items())
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

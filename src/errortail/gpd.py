@@ -39,13 +39,6 @@ class GpdParams:
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
-    @property
-    def upper_endpoint(self) -> float:
-        """Right endpoint of the support: sigma/(-gamma) if gamma < 0, else inf."""
-        if self.gamma < -GAMMA_ZERO_TOL:
-            return self.sigma / (-self.gamma)
-        return math.inf
-
 
 def _as_nonnegative_array(x, name: str) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
@@ -72,20 +65,6 @@ def gpd_cdf(params: GpdParams, x):
         inside = t > -1.0
         out = np.ones_like(arr)
         out[inside] = -np.expm1(-np.log1p(t[inside]) / g)
-    return _maybe_scalar(out, scalar)
-
-
-def gpd_sf(params: GpdParams, x):
-    """Survival function 1 - H, evaluated directly for accuracy in the tail."""
-    arr, scalar = _as_nonnegative_array(x, "x")
-    g, s = params.gamma, params.sigma
-    if abs(g) < GAMMA_ZERO_TOL:
-        out = np.exp(-arr / s)
-    else:
-        t = g * arr / s
-        inside = t > -1.0
-        out = np.zeros_like(arr)
-        out[inside] = np.exp(-np.log1p(t[inside]) / g)
     return _maybe_scalar(out, scalar)
 
 

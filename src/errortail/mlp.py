@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pricing import C_TRAIN, DomainBox, OptionContract, contract_terms
+from .pricing import C_TRAIN, DomainBox, contract_terms
 from .rng import generator, stage_seed
 from .tail import ErrorSample
 
@@ -93,6 +93,8 @@ class MlpModel:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (widths[i + 1], widths[i]) or b.shape != (widths[i + 1],):
                 raise ValueError(f"layer {i} arrays do not match layer_widths")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ValueError(f"layer {i} weights and biases must be finite")
         self.target_scale = float(self.target_scale)
         if not (math.isfinite(self.target_scale) and self.target_scale != 0.0):
             raise ValueError(
@@ -191,11 +193,6 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted prices in USD for an (n, d) input matrix."""
     raw, _ = _forward_raw(model, np.asarray(x, dtype=float))
     return raw * model.target_scale
-
-
-def forward(model: MlpModel, contract: OptionContract) -> float:
-    """Predicted price in USD for one contract."""
-    return float(forward_batch(model, contract_terms([contract]))[0])
 
 
 def _gradient_arrays(
@@ -404,5 +401,5 @@ def load_model(path) -> MlpModel:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -246,8 +246,16 @@ def write_priced_csv(path, contracts, prices, comments: dict | None = None) -> N
 
 def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``K,T,r,q,sigma,price`` CSV back into (n, 5) terms and n prices;
-    a row that breaks the contract rule is named by its line."""
+    a row that breaks the contract rule or has a non-finite or negative price
+    is named by its line."""
     linenos, rows = zip(*read_table(path, PRICED_CSV_HEADER))
     table = np.array(rows)
     terms = contract_terms(table[:, :5], lambda row: f"{path}: line {linenos[row]}")
-    return terms, table[:, 5]
+    prices = table[:, 5]
+    bad = np.flatnonzero(~((prices >= 0.0) & (prices < math.inf)))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {linenos[bad[0]]}: price must be finite and nonnegative, "
+            f"got {float(prices[bad[0]])}"
+        )
+    return terms, prices

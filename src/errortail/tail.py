@@ -65,15 +65,6 @@ class ErrorSample:
 
 
 @dataclass(frozen=True)
-class ErrorSummary:
-    """Mean absolute error, mean squared error, and maximum error."""
-
-    mean_abs: float
-    mean_sq: float
-    max_err: float
-
-
-@dataclass(frozen=True)
 class TailFit:
     """A fitted error tail.
 
@@ -107,15 +98,6 @@ class TailFit:
         object.__setattr__(
             self, "sigma_u", -self.gamma_hat * (self.xstar_hat - self.u)
         )
-
-
-def summarize(sample: ErrorSample) -> ErrorSummary:
-    v = sample.values
-    return ErrorSummary(
-        mean_abs=float(np.mean(v)),
-        mean_sq=float(np.mean(v * v)),
-        max_err=float(v[-1]),
-    )
 
 
 def exceeds_max_probability(n: int) -> float:
@@ -247,13 +229,6 @@ def cent_threshold_k(n: int) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return round(0.0027 * n)
-
-
-def one_percent_k(n: int) -> int:
-    """Alternative k rule with k/n of about 1%, a common working choice."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return round(0.01 * n)
 
 
 def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> None:

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 
-def _content(numbered_lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, str]]:
-    for lineno, raw in numbered_lines:
+def _content(fh) -> Iterator[tuple[int, str]]:
+    for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -37,7 +37,7 @@ def read_table(path, header: str) -> Iterator[tuple[int, list[float]]]:
     """
     columns = header.count(",") + 1
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _content(enumerate(fh, start=1))
+        lines = _content(fh)
         lineno, line = next(lines, (0, None))
         if line is None:
             raise ValueError(f"{path}: missing {header!r} header")
@@ -64,22 +64,19 @@ def read_table(path, header: str) -> Iterator[tuple[int, list[float]]]:
         raise ValueError(f"{path}: no rows below the {header!r} header")
 
 
-def parse_key_values(path, numbered_lines: Iterable[tuple[int, str]]) -> dict[str, str]:
-    """``key = value`` pairs from (line number, line) pairs of the file at ``path``;
-    rejects a line without ``=`` and a key given twice."""
-    pairs: dict[str, str] = {}
-    for lineno, line in _content(numbered_lines):
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
-            raise ValueError(f"{path}: line {lineno}: expected 'key = value', got {line!r}")
-        if key in pairs:
-            raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-        pairs[key] = value.strip()
-    return pairs
-
-
 def read_key_values(path) -> dict[str, str]:
-    """``key = value`` pairs of a file; see :func:`parse_key_values`."""
+    """``key = value`` pairs of a file; rejects a line without ``=`` and a key
+    given twice."""
+    pairs: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_key_values(path, enumerate(fh, start=1))
+        for lineno, line in _content(fh):
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'key = value', got {line!r}"
+                )
+            if key in pairs:
+                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
+            pairs[key] = value.strip()
+    return pairs

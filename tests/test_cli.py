@@ -244,7 +244,13 @@ class TestTrainAndErrors:
         defaults = TrainConfig()
         for name in ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed"):
             assert getattr(args, name) == getattr(defaults, name), name
-        assert tuple(int(w) for w in args.widths.split(",")) == ExperimentConfig().widths
+        assert args.widths == ExperimentConfig().widths
+
+    def test_train_rejects_malformed_widths(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", "d.csv", "--out", "m.json", "--widths", "5,x,1"])
+        assert info.value.code == 2
+        assert "--widths" in capsys.readouterr().err
 
     def test_train_rejects_malformed_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

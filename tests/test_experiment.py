@@ -11,17 +11,15 @@ from errortail.experiment import (
     default_figure_grid,
     emit_figure_csv,
     figure_rows,
-    format_config,
     format_probability,
     load_config,
-    load_report_tables,
     paper_scale_config,
     pooled_empirical_sf,
     read_figure_csv,
     run_experiment,
     write_report,
 )
-from errortail.mlp import TrainConfig
+from errortail.mlp import TrainConfig, TrainingReport
 from errortail.tail import ErrorSample, exceedance_probability, mean_excess, tail_fit
 
 
@@ -39,6 +37,21 @@ def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+# stands in for training in reports built from hand-made fits
+HAND_TRAINING = TrainingReport(
+    train_mse=(1.0,), validation_mse=(1.0,), train_size=1, validation_size=1
+)
+
+
+def read_report(path) -> tuple[dict, list[dict]]:
+    """``key = value`` pairs and per-set rows (text, keyed by the header) of a
+    report file."""
+    lines = Path(path).read_text().splitlines()
+    keyvals = dict(line.split(" = ", 1) for line in lines if " = " in line)
+    header, *rows = [line.split(",") for line in lines if "," in line and " = " not in line]
+    return keyvals, [dict(zip(header, row)) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -84,11 +97,32 @@ class TestConfig:
         assert paper.widths == (5, 300, 300, 300, 1)
 
     def test_config_file_round_trip(self, tmp_path):
-        config = tiny_config(tmp_path, master_seed=42)
+        # every key, each set away from its default
+        train_config = TrainConfig(
+            epochs=2, batch_size=50, validation_fraction=0.25, learning_rate=0.002,
+            adam_beta1=0.8, adam_beta2=0.99, adam_epsilon=1e-07,
+        )
+        config = tiny_config(tmp_path, master_seed=42, train_config=train_config)
         path = tmp_path / "config.txt"
-        path.write_text(format_config(config))
-        back = load_config(path)
-        assert back == config
+        path.write_text(
+            "config_version = 1\n"
+            "train_samples = 1500\n"
+            "test_sets = 3\n"
+            "test_set_size = 1200\n"
+            "k = 4\n"
+            "tree_steps = 40\n"
+            "widths = 5,8,8,8,1\n"
+            "epochs = 2\n"
+            "batch_size = 50\n"
+            "validation_fraction = 0.25\n"
+            "learning_rate = 0.002\n"
+            "adam_beta1 = 0.8\n"
+            "adam_beta2 = 0.99\n"
+            "adam_epsilon = 1e-07\n"
+            "master_seed = 42\n"
+            f"output_dir = {config.output_dir}\n"
+        )
+        assert load_config(path) == config
 
     def test_config_file_partial_overrides_base(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -198,12 +232,14 @@ class TestRunExperiment:
 
     def test_report_file_recomputable(self, tiny_run):
         config, report = tiny_run
-        keyvals, sets = load_report_tables(Path(config.output_dir, "report.txt"))
+        keyvals, sets = read_report(Path(config.output_dir, "report.txt"))
         assert keyvals["report_version"] == "1"
         assert int(keyvals["k"]) == config.k
         assert int(keyvals["tree_steps"]) == config.tree_steps
-        exceeds = [row["exceed_at_u_ref"] for row in sets if row["n"] is not None]
-        excesses = [row["mean_excess"] for row in sets if row["n"] is not None]
+        assert len(sets) == config.test_sets
+        fitted = [{key: float(v) for key, v in row.items()} for row in sets]
+        exceeds = [row["exceed_at_u_ref"] for row in fitted]
+        excesses = [row["mean_excess"] for row in fitted]
         assert abs(float(keyvals["exceed_at_u_ref_mean"]) - np.mean(exceeds)) <= 1e-12
         assert abs(float(keyvals["exceed_at_u_ref_std1"]) - np.std(exceeds, ddof=1)) <= 1e-12
         assert abs(float(keyvals["mean_excess_mean"]) - np.mean(excesses)) <= 1e-12
@@ -211,9 +247,7 @@ class TestRunExperiment:
             float(keyvals["exceed_at_u_ref_std2"]) - 2 * np.std(exceeds, ddof=1)
         ) <= 1e-12
         # per-set shape and scale re-derivable from the persisted fit fields
-        for row in sets:
-            if row["n"] is None:
-                continue
+        for row in fitted:
             assert row["sigma_u"] == pytest.approx(
                 -row["gamma_hat"] * (row["xstar_hat"] - row["u"]), abs=1e-15
             )
@@ -264,7 +298,7 @@ class TestRunExperiment:
                 per_set.append(sample)
                 fits.append(tail_fit(sample, config.k))
         pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-        report = _aggregate(config, 0, fits, failures, pooled, per_set, None)
+        report = _aggregate(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
 
         assert len(report.exceed_at_u_ref) == config.test_sets - 1
         assert report.failures == failures
@@ -273,9 +307,9 @@ class TestRunExperiment:
 
         path = tmp_path / "report.txt"
         write_report(report, path)
-        keyvals, sets = load_report_tables(path)
+        keyvals, sets = read_report(path)
         assert keyvals["count"] == "1"
-        assert sets[1]["n"] is None
+        assert sets[1]["n"] == "degenerate"
         assert int(keyvals["fitted_sets"]) == config.test_sets - 1
 
 
@@ -297,7 +331,7 @@ class TestFigure:
             per_set.append(sample)
             fits.append(tail_fit(sample, config.k))
         pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-        return _aggregate(config, 0, fits, [], pooled, per_set, None)
+        return _aggregate(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
 
     def test_header_and_round_trip(self, tiny_run):
         config, report = tiny_run

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from errortail.gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample, gpd_sf
+from errortail.gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample
 
 PARAM_GRID = [
     GpdParams(gamma, sigma)
@@ -28,11 +28,6 @@ class TestParams:
             GpdParams(gamma=-0.5, sigma=0.0)
         with pytest.raises(ValueError, match="sigma"):
             GpdParams(gamma=0.1, sigma=-1.0)
-
-    def test_upper_endpoint(self):
-        assert GpdParams(-0.5, 1.0).upper_endpoint == 2.0
-        assert GpdParams(0.0, 1.0).upper_endpoint == math.inf
-        assert GpdParams(0.3, 2.0).upper_endpoint == math.inf
 
 
 class TestCdf:
@@ -70,28 +65,6 @@ class TestCdf:
             for gamma in (1e-9, -1e-9):
                 close = gpd_cdf(GpdParams(gamma, sigma), x)
                 assert np.max(np.abs(close - base)) <= 1e-7
-
-
-class TestSf:
-    def test_complement_of_cdf_value(self):
-        assert gpd_sf(GpdParams(-0.5, 1.0), 1.0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_one_at_origin(self):
-        assert gpd_sf(GpdParams(0.0, 2.0), 0.0) == 1.0
-
-    def test_zero_beyond_endpoint(self):
-        assert gpd_sf(GpdParams(-0.5, 1.0), 3.0) == 0.0
-
-    def test_sums_with_cdf_to_one(self):
-        for params in PARAM_GRID:
-            top = 0.99 * params.upper_endpoint if params.gamma < 0 else 10.0 * params.sigma
-            x = np.linspace(0.0, top, 64)
-            total = gpd_sf(params, x) + gpd_cdf(params, x)
-            assert np.max(np.abs(total - 1.0)) <= 1e-15
-
-    def test_rejects_negative_x(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            gpd_sf(GpdParams(0.0, 1.0), -1.0)
 
 
 class TestQuantile:

@@ -8,7 +8,6 @@ from errortail.mlp import (
     adam_init,
     adam_step,
     error_sample,
-    forward,
     forward_batch,
     gradient,
     init_model,
@@ -111,7 +110,7 @@ class TestForward:
         for w in model.weights:
             w[:] = 0.0
         contract = OptionContract(1.0, 12.0, 0.02, 0.01, 0.2)
-        assert forward(model, contract) == 0.0
+        assert forward_batch(model, contract_terms([contract]))[0] == 0.0
 
     def test_output_bias_scales_to_target_units(self):
         model = init_model([5, 4, 1], seed=0, target_scale=100.0)
@@ -119,7 +118,7 @@ class TestForward:
             w[:] = 0.0
         model.biases[-1][:] = 0.25
         contract = OptionContract(1.0, 12.0, 0.02, 0.01, 0.2)
-        assert forward(model, contract) == 25.0
+        assert forward_batch(model, contract_terms([contract]))[0] == 25.0
 
     def test_single_chain_composes_affine_maps(self):
         # 1-wide relu chain with positive signals reduces to a product of maps
@@ -131,7 +130,8 @@ class TestForward:
         contract = OptionContract(0.5, 0.5, 0.5, 0.5, 0.5)
         z = (0.5 - 0.01) / 0.99
         expected = ((z * 5 + 0.5) * 3.0 + 1.0) * 2.0
-        assert forward(model, contract) == pytest.approx(expected, rel=1e-15)
+        got = forward_batch(model, contract_terms([contract]))[0]
+        assert got == pytest.approx(expected, rel=1e-15)
 
     def test_matches_per_neuron_recomputation(self):
         model = init_model([5, 4, 1], seed=9, input_box=UNIT_BOX)
@@ -328,7 +328,7 @@ class TestErrorSampleFromModel:
     def test_single_pair(self):
         model = init_model([5, 4, 1], seed=0, input_box=UNIT_BOX)
         contract = OptionContract(0.5, 0.5, 0.5, 0.5, 0.5)
-        pred = forward(model, contract)
+        pred = forward_batch(model, contract_terms([contract]))[0]
         sample = error_sample(model, [contract], [pred + 0.1])
         assert sample.values[0] == pytest.approx(0.1, abs=1e-12)
 
@@ -376,8 +376,8 @@ class TestPersistence:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
-        contract = OptionContract(1.0, 11.5, 0.02, 0.01, 0.3)
-        assert forward(back, contract) == forward(model, contract)
+        x = contract_terms([OptionContract(1.0, 11.5, 0.02, 0.01, 0.3)])
+        assert forward_batch(back, x)[0] == forward_batch(model, x)[0]
 
     def test_version_guard(self, tmp_path):
         model = init_model([5, 4, 1], seed=0)
@@ -392,6 +392,15 @@ class TestPersistence:
 def _three_outputs(doc):
     layers = [doc["layers"][0], {"weights": [[0.1] * 4] * 3, "bias": [0.0] * 3}]
     return {**doc, "layer_widths": [5, 4, 3], "layers": layers}
+
+
+def _with_layer(index, **arrays):
+    def edit(doc):
+        layers = list(doc["layers"])
+        layers[index] = {**layers[index], **arrays}
+        return {**doc, "layers": layers}
+
+    return edit
 
 
 # model-file edits (each returns the document to write) that break the model
@@ -424,6 +433,19 @@ BROKEN_MODEL_FILES = [
         id="missing-field",
     ),
     pytest.param(lambda doc: [doc], "expected a JSON object, got list", id="not-an-object"),
+    # a field of the wrong JSON type: the file is named, the rest is Python's message
+    pytest.param(lambda doc: {**doc, "layer_widths": 5}, "", id="int-widths"),
+    pytest.param(lambda doc: {**doc, "layers": 3}, "", id="int-layers"),
+    pytest.param(lambda doc: {**doc, "target_scale": None}, "", id="null-target-scale"),
+    pytest.param(lambda doc: {**doc, "input_lower": None}, "", id="null-input-lower"),
+    pytest.param(
+        _with_layer(0, bias=[float("nan")] * 4), "layer 0 weights and biases must be finite",
+        id="nan-bias",
+    ),
+    pytest.param(
+        _with_layer(1, weights=[[float("inf")] * 4]), "layer 1 weights and biases must be finite",
+        id="inf-weight",
+    ),
 ]
 
 

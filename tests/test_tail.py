@@ -16,10 +16,8 @@ from errortail.tail import (
     exceeds_max_probability,
     markov_bound,
     mean_excess,
-    one_percent_k,
     read_error_csv,
     shape_estimate_known_endpoint,
-    summarize,
     tail_fit,
     write_error_csv,
 )
@@ -100,30 +98,6 @@ class TestErrorSample:
         path.write_text("error\n-1.0\n")
         with pytest.raises(ValueError, match="line 2"):
             read_error_csv(path)
-
-
-class TestSummarize:
-    def test_all_zero(self):
-        s = summarize(ErrorSample([0.0, 0.0, 0.0]))
-        assert (s.mean_abs, s.mean_sq, s.max_err) == (0.0, 0.0, 0.0)
-
-    def test_singleton(self):
-        s = summarize(ErrorSample([0.3]))
-        assert s.mean_abs == 0.3
-        assert s.mean_sq == pytest.approx(0.09, rel=1e-15)
-        assert s.max_err == 0.3
-
-    def test_small_sample(self):
-        s = summarize(ErrorSample([1.0, 2.0, 3.0]))
-        assert s.mean_abs == 2.0
-        assert s.mean_sq == pytest.approx(14.0 / 3.0, rel=1e-15)
-        assert s.max_err == 3.0
-
-    def test_jensen_holds_on_random_samples(self):
-        for seed in range(5):
-            s = summarize(ErrorSample(generator(seed).random(100)))
-            assert s.mean_sq >= s.mean_abs**2
-            assert s.max_err >= s.mean_abs
 
 
 class TestExceedsMaxProbability:
@@ -406,7 +380,3 @@ class TestKRules:
     def test_cent_threshold_rule(self):
         assert cent_threshold_k(100_000) == 270
         assert cent_threshold_k(20_000) == 54
-
-    def test_one_percent_rule(self):
-        assert one_percent_k(100_000) == 1000
-        assert one_percent_k(250) == 2

@@ -5,12 +5,7 @@ import re
 import pytest
 
 from errortail.cli import _read_fit_file
-from errortail.experiment import (
-    FIGURE_HEADER,
-    load_config,
-    load_report_tables,
-    read_figure_csv,
-)
+from errortail.experiment import FIGURE_HEADER, load_config, read_figure_csv
 from errortail.pricing import PRICED_CSV_HEADER, read_priced_csv
 from errortail.tail import read_error_csv
 
@@ -24,9 +19,7 @@ TABLES = [
 KEY_VALUE_FILES = [
     (_read_fit_file, "n = 10\nk = 2\nu = 1.0\nxstar_hat = 2.0\ngamma_hat = -0.5\n"),
     (load_config, "config_version = 1\nk = 3\n"),
-    (load_report_tables, "report_version = 1\n\n[config]\nk = 3\n"),
 ]
-SETS_HEADER = "index,n,k,u,xstar_hat,gamma_hat,sigma_u,exceed_at_u_ref,mean_excess"
 
 
 def _cases():
@@ -60,15 +53,16 @@ def _cases():
             reader, f"{body}\nk = 4\n", f"line {lines + 2}: duplicate key 'k'",
             id=f"{name}-duplicate-key",
         )
-        if reader is not load_report_tables:  # a report's values stay text
-            yield pytest.param(
-                reader, re.sub("^k = .*$", "k = two", body, flags=re.M),
-                "field 'k': cannot parse value 'two'", id=f"{name}-bad-value",
-            )
-    yield pytest.param(
-        load_report_tables, f"[sets]\n{SETS_HEADER}\n0,degenerate,,,,,,,\n1,10\n",
-        "line 4: expected 9 fields", id="load_report_tables-truncated-set-row",
-    )
+        yield pytest.param(
+            reader, re.sub("^k = .*$", "k = two", body, flags=re.M),
+            "field 'k': cannot parse value 'two'", id=f"{name}-bad-value",
+        )
+    for price, case in (("nan", "bad-price"), ("-0.5", "negative-price")):
+        yield pytest.param(
+            read_priced_csv, f"{PRICED_CSV_HEADER}\n1.0,12.0,0.02,0.0,0.2,{price}\n",
+            f"line 2: price must be finite and nonnegative, got {price}",
+            id=f"read_priced_csv-{case}",
+        )
 
 
 @pytest.mark.parametrize("reader, text, message", list(_cases()))
