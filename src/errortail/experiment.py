@@ -366,7 +366,8 @@ def emit_figure_csv(report: ExperimentReport, grid, path) -> Path:
 
 def read_figure_csv(path) -> list[FigureRow]:
     """Read back a figure CSV written by :func:`emit_figure_csv`."""
-    return [FigureRow(*values) for _, values in read_table(path, FIGURE_HEADER)]
+    _, table = read_table(path, FIGURE_HEADER)
+    return [FigureRow(*values) for values in table.tolist()]
 
 
 def write_report(report: ExperimentReport, path) -> Path:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -117,8 +118,9 @@ class MlpModel:
 
 
 def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
-    """Widths as ints: at least two, positive, first = input_dim, last = 1."""
-    widths = tuple(int(w) for w in widths)
+    """Widths as ints: integers (no fractional width is truncated), at least
+    two, positive, first = input_dim, last = 1."""
+    widths = tuple(map(operator.index, widths))
     if len(widths) < 2:
         raise ValueError("widths needs at least an input and an output layer")
     if any(w < 1 for w in widths):
@@ -370,9 +372,9 @@ def save_model(model: MlpModel, path) -> None:
             for w, b in zip(model.weights, model.biases)
         ],
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path) -> MlpModel:
@@ -390,16 +392,35 @@ def load_model(path) -> MlpModel:
     for key, fixed in (("activation", "relu"), ("target_offset", 0.0)):
         if doc.get(key) != fixed:
             raise ValueError(f"{path}: unsupported {key} {doc.get(key)!r}")
+
+    def field(key, convert):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+        try:
+            return convert(doc[key])
+        except KeyError as exc:
+            raise ValueError(f"{path}: field {key!r}: missing {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: field {key!r}: {exc}") from None
+
+    widths = field("layer_widths", lambda widths: tuple(map(operator.index, widths)))
+    layers = field("layers", lambda layers: [
+        (np.asarray(layer["weights"], dtype=float), np.asarray(layer["bias"], dtype=float))
+        for layer in layers
+    ])
+    lower = field("input_lower", _vector)
+    upper = field("input_upper", _vector)
+    target_scale = field("target_scale", float)
     try:
         return MlpModel(
-            layer_widths=doc["layer_widths"],
-            weights=[np.asarray(layer["weights"], dtype=float) for layer in doc["layers"]],
-            biases=[np.asarray(layer["bias"], dtype=float) for layer in doc["layers"]],
-            input_lower=doc["input_lower"],
-            input_upper=doc["input_upper"],
-            target_scale=doc["target_scale"],
+            widths, [w for w, _ in layers], [b for _, b in layers], lower, upper, target_scale
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _vector(values) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"expected a list of numbers, got {values!r}")
+    return arr

@@ -248,8 +248,7 @@ def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``K,T,r,q,sigma,price`` CSV back into (n, 5) terms and n prices;
     a row that breaks the contract rule or has a non-finite or negative price
     is named by its line."""
-    linenos, rows = zip(*read_table(path, PRICED_CSV_HEADER))
-    table = np.array(rows)
+    linenos, table = read_table(path, PRICED_CSV_HEADER)
     terms = contract_terms(table[:, :5], lambda row: f"{path}: line {linenos[row]}")
     prices = table[:, 5]
     bad = np.flatnonzero(~((prices >= 0.0) & (prices < math.inf)))

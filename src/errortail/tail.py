@@ -29,6 +29,21 @@ from .textio import read_table, write_table
 
 LN2 = math.log(2.0)
 
+# log1p(1/j) / LN2 at index j - 1, read-only and shared by every endpoint
+# estimate; grown to the next power of two when a larger k needs more
+_weight_table = np.empty(0)
+
+
+def _endpoint_weights(k: int) -> np.ndarray:
+    """w_i = log1p(1/(k+i)) / LN2 for i = 0..k-1, a view into the table."""
+    global _weight_table
+    if _weight_table.size < 2 * k:
+        size = 1 << (2 * int(k) - 1).bit_length()
+        table = np.log1p(1.0 / np.arange(1, size + 1)) / LN2
+        table.flags.writeable = False
+        _weight_table = table
+    return _weight_table[k - 1 : 2 * k - 1]
+
 
 class DegenerateSampleError(ValueError):
     """Raised when ties in the upper order statistics make the fit undefined."""
@@ -37,11 +52,12 @@ class DegenerateSampleError(ValueError):
 class ErrorSample:
     """A sorted collection of nonnegative absolute errors.
 
-    The constructor sorts its input. Duplicates are allowed here; only the
-    tail fit itself rejects ties in the window it touches.
+    The constructor sorts its input into a read-only ``values`` array.
+    Duplicates are allowed here; only the tail fit itself rejects ties in
+    the window it touches.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_moments", "_moments_of")
 
     def __init__(self, values) -> None:
         arr = np.asarray(values, dtype=float)
@@ -52,6 +68,8 @@ class ErrorSample:
         if np.any(arr < 0.0):
             raise ValueError("error values must be nonnegative")
         self.values = np.sort(arr)
+        self.values.flags.writeable = False
+        self._moments_of = None
 
     @property
     def n(self) -> int:
@@ -62,6 +80,17 @@ class ErrorSample:
 
     def __repr__(self) -> str:
         return f"ErrorSample(n={self.n}, max={float(self.values[-1])!r})"
+
+    def _moment(self, m) -> float:
+        """The sample m-th moment, computed once per exponent for as long as
+        ``values`` is the array it was computed from."""
+        v = self.values
+        if self._moments_of is not v:
+            self._moments_of, self._moments = v, {}
+        key = float(m)
+        if key not in self._moments:
+            self._moments[key] = float(np.mean(v**m))
+        return self._moments[key]
 
 
 @dataclass(frozen=True)
@@ -121,8 +150,7 @@ def markov_bound(sample: ErrorSample, m: float, x: float) -> float:
         raise ValueError(f"x must be positive, got {x}")
     if not 0.0 <= m < math.inf:
         raise ValueError(f"m must be finite and nonnegative, got {m}")
-    moment = float(np.mean(sample.values**m))
-    return min(1.0, moment / x**m)
+    return min(1.0, sample._moment(m) / x**m)
 
 
 def endpoint_estimate(sample: ErrorSample, k: int) -> float:
@@ -142,7 +170,7 @@ def endpoint_estimate(sample: ErrorSample, k: int) -> float:
     n = v.size
     if k < 1 or 2 * k > n:
         raise ValueError(f"need 1 <= k and 2k <= n, got k={k}, n={n}")
-    w = np.log1p(1.0 / (k + np.arange(k))) / LN2
+    w = _endpoint_weights(k)
     # e_(N-k-i) for i = 0..k-1, i.e. positions n-1-k down to n-2k.
     lower = v[n - 2 * k : n - k][::-1]
     gaps = v[n - 1 - k] - lower
@@ -242,12 +270,12 @@ def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> 
 
 def read_error_csv(path) -> ErrorSample:
     """Read a one-column ``error`` CSV, skipping ``#`` comment lines."""
-    values = []
-    for lineno, (value,) in read_table(path, "error"):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(
-                f"{path}: line {lineno}: error values must be finite and "
-                f"nonnegative, got {value!r}"
-            )
-        values.append(value)
+    linenos, table = read_table(path, "error")
+    values = table[:, 0]
+    bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
+    if bad.size:
+        raise ValueError(
+            f"{path}: line {linenos[bad[0]]}: error values must be finite and "
+            f"nonnegative, got {float(values[bad[0]])!r}"
+        )
     return ErrorSample(values)

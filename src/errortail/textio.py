@@ -7,7 +7,10 @@ readers skip blank lines and ``#`` comments and name the line of each error.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 def _content(fh) -> Iterator[tuple[int, str]]:
@@ -29,39 +32,53 @@ def write_table(
             fh.write(row + "\n")
 
 
-def read_table(path, header: str) -> Iterator[tuple[int, list[float]]]:
-    """Yield (line number, values) for each row of a table with this header.
+def _numeric(line: str) -> bool:
+    try:
+        list(map(float, line.split(",")))
+    except ValueError:
+        return False
+    return True
+
+
+def read_table(path, header: str) -> tuple[list[int], np.ndarray]:
+    """Line numbers and the (rows, columns) values of a table with this header.
 
     Rejects a missing or different header, a row with the wrong number of
-    fields, a field that is not a decimal number, and a table without rows.
+    fields, a field that is not a decimal number, and a table without rows;
+    of several faulty rows, the first is named.
     """
-    columns = header.count(",") + 1
+    commas = header.count(",")
     with open(path, "r", encoding="utf-8") as fh:
-        lines = _content(fh)
-        lineno, line = next(lines, (0, None))
+        content = _content(fh)
+        lineno, line = next(content, (0, None))
         if line is None:
             raise ValueError(f"{path}: missing {header!r} header")
         if line != header:
             raise ValueError(
                 f"{path}: line {lineno}: expected header {header!r}, got {line!r}"
             )
-        header_lineno = lineno
-        for lineno, line in lines:
-            fields = line.split(",")
-            if len(fields) != columns:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {columns} comma-separated values, "
-                    f"got {len(fields)}"
-                )
-            try:
-                values = list(map(float, fields))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: non-numeric field in {line!r}"
-                ) from None
-            yield lineno, values
-    if lineno == header_lineno:
+        linenos, lines = [], []
+        for lineno, line in content:
+            linenos.append(lineno)
+            lines.append(line)
+    if not lines:
         raise ValueError(f"{path}: no rows below the {header!r} header")
+    # rows before the first with the wrong field count
+    end = next((i for i, line in enumerate(lines) if line.count(",") != commas), len(lines))
+    fields = chain.from_iterable(line.split(",") for line in lines[:end])
+    try:
+        values = np.fromiter(map(float, fields), float, count=end * (commas + 1))
+    except ValueError:
+        bad = next(i for i in range(end) if not _numeric(lines[i]))
+        raise ValueError(
+            f"{path}: line {linenos[bad]}: non-numeric field in {lines[bad]!r}"
+        ) from None
+    if end < len(lines):
+        raise ValueError(
+            f"{path}: line {linenos[end]}: expected {commas + 1} comma-separated values, "
+            f"got {lines[end].count(',') + 1}"
+        )
+    return linenos, values.reshape(end, commas + 1)
 
 
 def read_key_values(path) -> dict[str, str]:

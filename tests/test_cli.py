@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from errortail.pricing import (
     C_TRAIN,
     write_priced_csv,
 )
-from errortail.mlp import TrainConfig
+from errortail.mlp import TrainConfig, init_model, save_model
 from errortail.tail import ErrorSample, read_error_csv, write_error_csv
 
 
@@ -238,6 +239,28 @@ class TestTrainAndErrors:
         )
         assert code == 1
         assert err.startswith(f"error: {model_path}: expected a JSON object")
+
+    @pytest.mark.parametrize("field, value", [
+        ("layer_widths", [5.5, 4, 1]),
+        ("layer_widths", 5),
+        ("layers", 3),
+        ("input_lower", None),
+    ], ids=["fractional-width", "int-widths", "int-layers", "null-input-lower"])
+    def test_errors_names_the_bad_model_field(self, capsys, tmp_path, field, value):
+        model_path = tmp_path / "m.json"
+        save_model(init_model([5, 4, 1], seed=0), model_path)
+        doc = json.loads(model_path.read_text())
+        model_path.write_text(json.dumps({**doc, field: value}))
+        code, _, err = run_cli(
+            capsys,
+            "errors",
+            "--model", str(model_path),
+            "--data", str(tmp_path / "unread.csv"),
+            "--out", str(tmp_path / "errors.csv"),
+        )
+        assert code == 1
+        assert err.startswith(f"error: {model_path}: field {field!r}: ")
+        assert "Traceback" not in err
 
     def test_train_defaults_follow_configs(self):
         args = build_parser().parse_args(["train", "--data", "d.csv", "--out", "m.json"])

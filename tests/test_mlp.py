@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -379,6 +380,16 @@ class TestPersistence:
         x = contract_terms([OptionContract(1.0, 11.5, 0.02, 0.01, 0.3)])
         assert forward_batch(back, x)[0] == forward_batch(model, x)[0]
 
+    def test_saved_bytes_match_the_streaming_encoder(self, tmp_path):
+        model = init_model([5, 8, 1], seed=14)
+        model.biases[0][:] = generator(2).random(8)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        text = path.read_text()
+        streamed = io.StringIO()
+        json.dump(json.loads(text), streamed)
+        assert text == streamed.getvalue() + "\n"
+
     def test_version_guard(self, tmp_path):
         model = init_model([5, 4, 1], seed=0)
         path = tmp_path / "model.json"
@@ -433,11 +444,31 @@ BROKEN_MODEL_FILES = [
         id="missing-field",
     ),
     pytest.param(lambda doc: [doc], "expected a JSON object, got list", id="not-an-object"),
-    # a field of the wrong JSON type: the file is named, the rest is Python's message
-    pytest.param(lambda doc: {**doc, "layer_widths": 5}, "", id="int-widths"),
-    pytest.param(lambda doc: {**doc, "layers": 3}, "", id="int-layers"),
-    pytest.param(lambda doc: {**doc, "target_scale": None}, "", id="null-target-scale"),
-    pytest.param(lambda doc: {**doc, "input_lower": None}, "", id="null-input-lower"),
+    # a field of the wrong JSON type: the file and the field are named
+    pytest.param(
+        lambda doc: {**doc, "layer_widths": 5}, "field 'layer_widths': 'int' object is not",
+        id="int-widths",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "layer_widths": [5.5, 4, 1]},
+        "field 'layer_widths': 'float' object cannot be interpreted as an integer",
+        id="fractional-width",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "layers": 3}, "field 'layers': 'int' object is not", id="int-layers"
+    ),
+    pytest.param(
+        lambda doc: {**doc, "layers": [{"bias": [0.0]}]}, "field 'layers': missing 'weights'",
+        id="layer-without-weights",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "target_scale": None}, "field 'target_scale': ",
+        id="null-target-scale",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "input_lower": None},
+        "field 'input_lower': expected a list of numbers, got None", id="null-input-lower",
+    ),
     pytest.param(
         _with_layer(0, bias=[float("nan")] * 4), "layer 0 weights and biases must be finite",
         id="nan-bias",

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from errortail import tail
 from errortail.rng import generator
 from errortail.tail import (
+    LN2,
     DegenerateSampleError,
     ErrorSample,
     TailFit,
@@ -73,6 +75,11 @@ class TestErrorSample:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             ErrorSample([1.0, math.nan])
+
+    def test_values_are_read_only(self):
+        s = ErrorSample([3.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            s.values[0] = 0.0
 
     def test_csv_round_trip(self, tmp_path):
         sample = ErrorSample(generator(3).random(200) * 1e-3)
@@ -144,6 +151,24 @@ class TestMarkovBound:
                 markov_bound(sample, m, 1.0)
 
 
+    def test_cached_moment_equals_the_expression_bitwise(self):
+        sample = ErrorSample(generator(4).random(1001))
+        for _ in range(3):  # later passes read the cache
+            for m in (0, 0.5, 1, 2, 2.0, 4.0):
+                for x in (0.3, 0.9):
+                    want = min(1.0, float(np.mean(sample.values**m)) / x**m)
+                    assert markov_bound(sample, m, x) == want
+
+    def test_reassigned_values_give_the_new_moment(self):
+        sample = ErrorSample([1.0, 2.0, 3.0])
+        assert markov_bound(sample, 2.0, 10.0) == float(np.mean([1.0, 4.0, 9.0])) / 100.0
+        sample.values = sample.values.copy()
+        sample.values[-1] += 1.0
+        assert markov_bound(sample, 2.0, 10.0) == float(np.mean([1.0, 4.0, 16.0])) / 100.0
+        sample.values = np.array([5.0])
+        assert markov_bound(sample, 2.0, 10.0) == 0.25
+
+
 class TestEndpointEstimate:
     def test_constant_sample_returns_constant(self):
         for c in (0.0, 1.0, 3.7):
@@ -179,6 +204,18 @@ class TestEndpointEstimate:
             for k in range(1, 10_001)
         )
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+    def test_shared_weights_equal_fresh_weights_bitwise(self, monkeypatch, descending):
+        # the weight table grows with the largest k seen, so walk k both ways
+        monkeypatch.setattr(tail, "_weight_table", np.empty(0))
+        sample = ErrorSample(generator(5).exponential(1.0, 2001))
+        v, n = sample.values, sample.n
+        path = range(n // 2, 0, -1) if descending else range(1, n // 2 + 1)
+        for k in path:
+            gaps = v[n - 1 - k] - v[n - 2 * k : n - k][::-1]
+            want = float(v[-1] + np.log1p(1.0 / (k + np.arange(k))) / LN2 @ gaps)
+            assert endpoint_estimate(sample, k) == want, k
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 300))
     def test_never_below_sample_maximum(self, seed, n):

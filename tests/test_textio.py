@@ -42,6 +42,15 @@ def _cases():
             reader, "# origin=test\n\n", "missing", id=f"{name}-missing-header"
         )
         yield pytest.param(reader, f"{header}\n", "no rows", id=f"{name}-no-rows")
+        # of two structural faults, the one higher in the file is named
+        yield pytest.param(
+            reader, f"{header}\n{row}\n{bad_row}\n{row},7\n", "line 3: non-numeric",
+            id=f"{name}-non-numeric-above-extra-column",
+        )
+        yield pytest.param(
+            reader, f"{header}\n{row},7\n{bad_row}\n", "line 2: expected",
+            id=f"{name}-extra-column-above-non-numeric",
+        )
     for reader, body in KEY_VALUE_FILES:
         name = reader.__name__
         lines = body.count("\n")
@@ -63,6 +72,17 @@ def _cases():
             f"line 2: price must be finite and nonnegative, got {price}",
             id=f"read_priced_csv-{case}",
         )
+    for value, case in (("nan", "nan"), ("-0.5", "negative"), ("inf", "infinite")):
+        yield pytest.param(
+            read_error_csv, f"error\n0.5\n{value}\n",
+            f"line 3: error values must be finite and nonnegative, got {value}$",
+            id=f"read_error_csv-{case}-error",
+        )
+    # a structural fault is named before a range fault above it
+    yield pytest.param(
+        read_error_csv, "error\n-1.0\noops\n", "line 3: non-numeric",
+        id="read_error_csv-non-numeric-below-negative",
+    )
 
 
 @pytest.mark.parametrize("reader, text, message", list(_cases()))
