@@ -11,6 +11,14 @@ Training is deterministic: the split, every shuffle, and the weight
 initialization derive from the config seed, and batch gradients are reduced
 in fixed index order, so identical seeds reproduce identical weights bit
 for bit.
+
+Evaluation (:func:`forward_batch`, and through it :func:`error_sample` and
+the per-epoch training curves) walks its rows in fixed blocks of
+``EVAL_BLOCK_ROWS`` from row 0 and holds one block per layer, so its working
+memory does not grow with the row count. A row's last bit depends on the
+rows that share its matrix product, so the reproducibility unit is the call:
+the same model and the same rows in the same order give the same bits, while
+a subset or a reordering of the rows may differ in the last ulp.
 """
 
 from __future__ import annotations
@@ -29,6 +37,9 @@ from .tail import ErrorSample
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_TARGET_SCALE = 100.0
+# rows per evaluation block: one 512 x 300 activation is 1.2 MB, which fits
+# a 2 MB L2, and a set of at most 512 rows is evaluated in one product
+EVAL_BLOCK_ROWS = 512
 
 
 @dataclass
@@ -118,9 +129,9 @@ class MlpModel:
 
 
 def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
-    """Widths as ints: integers (no fractional width is truncated), at least
-    two, positive, first = input_dim, last = 1."""
-    widths = tuple(map(operator.index, widths))
+    """Widths as ints: integers (no fractional width is truncated, no bool
+    is taken for 0 or 1), at least two, positive, first = input_dim, last = 1."""
+    widths = tuple(map(_width, widths))
     if len(widths) < 2:
         raise ValueError("widths needs at least an input and an output layer")
     if any(w < 1 for w in widths):
@@ -132,6 +143,12 @@ def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
     if widths[-1] != 1:
         raise ValueError(f"last width must be 1, got {widths[-1]}")
     return widths
+
+
+def _width(value) -> int:
+    if isinstance(value, bool):
+        raise TypeError(f"a width must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def split_sizes(size: int, config: TrainConfig) -> tuple[int, int]:
@@ -176,7 +193,10 @@ def _forward_raw(
     model: MlpModel, x: np.ndarray, keep_activations: bool = False
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Raw (scaled-space) outputs, plus each layer's input if kept for gradients;
-    otherwise one layer at a time is held, which keeps large batches small."""
+    otherwise one layer at a time is held. The rows of ``x`` form one matrix
+    product per layer, so a row's last bit can depend on the other rows:
+    :func:`forward_batch` calls this on fixed blocks, which bounds its memory
+    and makes a row's bits depend only on the rows of its block."""
     a = _normalize(model, x)
     activations = []
     last = len(model.weights) - 1
@@ -192,9 +212,15 @@ def _forward_raw(
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Predicted prices in USD for an (n, d) input matrix."""
-    raw, _ = _forward_raw(model, np.asarray(x, dtype=float))
-    return raw * model.target_scale
+    """Predicted prices in USD for an (n, d) input matrix, evaluated in
+    blocks of ``EVAL_BLOCK_ROWS`` rows from row 0 (see the module notes)."""
+    x = np.asarray(x, dtype=float)
+    raw = np.empty(len(x))
+    for start in range(0, len(x), EVAL_BLOCK_ROWS):
+        stop = start + EVAL_BLOCK_ROWS
+        raw[start:stop] = _forward_raw(model, x[start:stop])[0]
+    raw *= model.target_scale
+    return raw
 
 
 def _gradient_arrays(
@@ -403,14 +429,14 @@ def load_model(path) -> MlpModel:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}: field {key!r}: {exc}") from None
 
-    widths = field("layer_widths", lambda widths: tuple(map(operator.index, widths)))
+    widths = field("layer_widths", lambda widths: tuple(map(_width, widths)))
     layers = field("layers", lambda layers: [
         (np.asarray(layer["weights"], dtype=float), np.asarray(layer["bias"], dtype=float))
         for layer in layers
     ])
     lower = field("input_lower", _vector)
     upper = field("input_upper", _vector)
-    target_scale = field("target_scale", float)
+    target_scale = field("target_scale", _number)
     try:
         return MlpModel(
             widths, [w for w, _ in layers], [b for _, b in layers], lower, upper, target_scale
@@ -419,8 +445,14 @@ def load_model(path) -> MlpModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _number(value) -> float:
+    """A JSON number as a float; true, false and strings are no numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _vector(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
+    if not isinstance(values, list):
         raise ValueError(f"expected a list of numbers, got {values!r}")
-    return arr
+    return np.array([_number(v) for v in values], dtype=float)

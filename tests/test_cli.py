@@ -16,7 +16,7 @@ from errortail.pricing import (
     C_TRAIN,
     write_priced_csv,
 )
-from errortail.mlp import TrainConfig, init_model, save_model
+from errortail.mlp import EVAL_BLOCK_ROWS, TrainConfig, init_model, save_model
 from errortail.tail import ErrorSample, read_error_csv, write_error_csv
 
 
@@ -226,6 +226,28 @@ class TestTrainAndErrors:
         assert code == 0
         sample = read_error_csv(errors_path)
         assert sample.n == 300
+
+    def test_errors_repeats_its_bits_across_blocks(self, capsys, tmp_path):
+        # more rows than one evaluation block: the same model file and the
+        # same data file give the same errors.csv bytes
+        contracts = sample_uniform(C_TRAIN, 2 * EVAL_BLOCK_ROWS + 37, seed=6)
+        data_path = tmp_path / "test.csv"
+        write_priced_csv(data_path, contracts, price_contracts(contracts, steps=20))
+        model_path = tmp_path / "model.json"
+        save_model(init_model([5, 16, 16, 1], seed=7), model_path)
+        outputs = []
+        for name in ("first.csv", "second.csv"):
+            code, _, _ = run_cli(
+                capsys,
+                "errors",
+                "--model", str(model_path),
+                "--data", str(data_path),
+                "--out", str(tmp_path / name),
+            )
+            assert code == 0
+            outputs.append((tmp_path / name).read_bytes())
+        assert outputs[0] == outputs[1]
+        assert read_error_csv(tmp_path / "first.csv").n == len(contracts)
 
     def test_errors_rejects_non_object_model(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"

@@ -1,11 +1,14 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from errortail.mlp import (
+    EVAL_BLOCK_ROWS,
     TrainConfig,
+    _forward_raw,
     adam_init,
     adam_step,
     error_sample,
@@ -102,6 +105,8 @@ class TestInit:
             init_model([5, 4, 2], seed=0)
         with pytest.raises(ValueError, match="at least"):
             init_model([5], seed=0)
+        with pytest.raises(TypeError, match="integer, got True"):
+            init_model([5, 4, True], seed=0)
 
 
 class TestForward:
@@ -161,6 +166,58 @@ class TestForward:
         z_high = (upper - model.input_lower) / (model.input_upper - model.input_lower)
         assert np.array_equal(z_low, np.zeros(5))
         assert np.array_equal(z_high, np.ones(5))
+
+
+class TestBlockedEvaluation:
+    """forward_batch evaluates fixed blocks of EVAL_BLOCK_ROWS rows from row 0."""
+
+    WIDTHS = [5, 32, 32, 1]
+
+    def model_and_rows(self, rows: int):
+        model = init_model(self.WIDTHS, seed=21)
+        for i, b in enumerate(model.biases):
+            b[:] = generator(22 + i).normal(scale=0.1, size=b.shape)
+        return model, contract_terms(sample_uniform(C_TRAIN, rows, seed=23))
+
+    def test_equals_the_blocks_concatenated_bitwise(self):
+        model, x = self.model_and_rows(2 * EVAL_BLOCK_ROWS + 37)
+        blocks = [
+            _forward_raw(model, x[s : s + EVAL_BLOCK_ROWS])[0] * model.target_scale
+            for s in range(0, len(x), EVAL_BLOCK_ROWS)
+        ]
+        assert [len(b) for b in blocks] == [EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS, 37]
+        assert np.array_equal(forward_batch(model, x), np.concatenate(blocks))
+
+    @pytest.mark.parametrize("rows", [1, 37, 300, EVAL_BLOCK_ROWS])
+    def test_one_block_is_the_whole_call_bitwise(self, rows):
+        model, x = self.model_and_rows(rows)
+        whole = _forward_raw(model, x)[0] * model.target_scale
+        assert np.array_equal(forward_batch(model, x), whole)
+
+    def test_two_calls_give_the_same_bits(self):
+        model, x = self.model_and_rows(3 * EVAL_BLOCK_ROWS + 5)
+        first = forward_batch(model, x)
+        assert np.array_equal(forward_batch(model, x), first)
+        assert np.array_equal(error_sample(model, x, first).values, np.zeros(len(x)))
+
+    def test_empty_input_gives_empty_output(self):
+        model, x = self.model_and_rows(1)
+        assert forward_batch(model, x[:0]).shape == (0,)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # a whole-call pass over 20,000 rows at width 300 holds two
+        # (20,000 x 300) activations, about 96 MB
+        rows, width = 20_000, 300
+        model = init_model([5, width, width, width, 1], seed=24)
+        x = contract_terms(sample_uniform(C_TRAIN, rows, seed=25))
+        tracemalloc.start()
+        try:
+            out = forward_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (rows,)
+        assert peak < 4 * EVAL_BLOCK_ROWS * width * 8 + rows * 8
 
 
 class TestGradient:
@@ -453,6 +510,23 @@ BROKEN_MODEL_FILES = [
         lambda doc: {**doc, "layer_widths": [5.5, 4, 1]},
         "field 'layer_widths': 'float' object cannot be interpreted as an integer",
         id="fractional-width",
+    ),
+    # a JSON true is no width and no number
+    pytest.param(
+        lambda doc: {**doc, "layer_widths": [5, 4, True]},
+        "field 'layer_widths': a width must be an integer, got True", id="bool-width",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "input_lower": [True, *doc["input_lower"][1:]]},
+        "field 'input_lower': expected a number, got True", id="bool-input-lower",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "target_scale": True},
+        "field 'target_scale': expected a number, got True", id="bool-target-scale",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "target_scale": "100"},
+        "field 'target_scale': expected a number, got '100'", id="string-target-scale",
     ),
     pytest.param(
         lambda doc: {**doc, "layers": 3}, "field 'layers': 'int' object is not", id="int-layers"
