@@ -16,11 +16,22 @@ across contracts. The working arrays are node-major, shape (nodes,
 contracts): each contract occupies one column and no operation mixes
 columns, so prices are bit-identical regardless of how contracts are
 ordered, batched or farmed across worker processes.
+
+Every per-level operation runs on same-shape, C-contiguous operands, because
+numpy runs those as one flat loop, while a broadcast or strided operand makes
+it run one short inner loop per row (two to three times the cost per node).
+So the intrinsic values come as two tables, the even and the odd rows of the
+full table, and level i reads one contiguous block of one of them; the two
+coefficients are broadcast once per chunk into contiguous (rows, contracts)
+arrays; and a chunk holds as many contracts as fit ``CHUNK_NODES`` terminal
+nodes (:func:`contracts_per_chunk`), so that one level's five operands, at
+most 2.6 MB, stay in a core's L2 cache.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +43,7 @@ from .textio import read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
-CHUNK_SIZE = 256  # contracts per kernel call and per worker task
+CHUNK_NODES = 65_536  # terminal nodes per kernel call and per worker task
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
 _POSITIVE = [0, 1, 4]  # K, T and vol
@@ -106,36 +117,78 @@ C_TEST = DomainBox(
 )
 
 
-def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
-    """Backward induction over one shared step count, one contract per column."""
-    strike = params[:, 0] * SPOT_REFERENCE
+def contracts_per_chunk(steps: int) -> int:
+    """Contracts per kernel call at ``steps``: as many as fit ``CHUNK_NODES``
+    terminal nodes, and at least one."""
+    return max(1, CHUNK_NODES // (steps + 1))
+
+
+def _check_steps(steps) -> int:
+    """``steps`` as an int: an integer (a bool is not taken for 0 or 1), >= 1."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise TypeError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    return int(steps)
+
+
+def _tree_coefficients(params: np.ndarray, steps: int):
+    """Up factor, risk-neutral up-probability and one-step discount per contract."""
     dt = (params[:, 1] / 12.0) / steps
     r, q, vol = params[:, 2], params[:, 3], params[:, 4]
-
     up = np.exp(vol * np.sqrt(dt))
     down = 1.0 / up
     growth = np.exp((r - q) * dt)
     prob_up = (growth - down) / (up - down)
-    if np.any(prob_up < 0.0) or np.any(prob_up > 1.0):
-        bad = int(np.argmax((prob_up < 0.0) | (prob_up > 1.0)))
+    return up, prob_up, np.exp(-r * dt)
+
+
+def _check_no_arbitrage(
+    params: np.ndarray, steps: int, row_label=lambda row: f"row {row}"
+) -> None:
+    """Reject the first contract whose up-probability lies outside [0, 1]."""
+    prob_up = _tree_coefficients(params, steps)[1]
+    bad = np.flatnonzero(~((prob_up >= 0.0) & (prob_up <= 1.0)))
+    if bad.size:
         raise ValueError(
-            "risk-neutral up-probability outside [0, 1] for contract "
-            f"{params[bad].tolist()} at {steps} steps; the discretization "
-            "admits arbitrage for these parameters"
+            f"{row_label(bad[0])}: risk-neutral up-probability outside [0, 1] for "
+            f"contract {params[bad[0]].tolist()} at {steps} steps; the "
+            "discretization admits arbitrage for these parameters"
         )
-    discount = np.exp(-r * dt)
+
+
+def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
+    """Backward induction over one shared step count, one contract per column.
+
+    The contracts must pass :func:`_check_no_arbitrage` at ``steps``.
+    """
+    strike = params[:, 0] * SPOT_REFERENCE
+    up, prob_up, discount = _tree_coefficients(params, steps)
     pu = discount * prob_up
     pd = discount * (1.0 - prob_up)
 
-    # Stock prices at level i, node j are S0 * up^(2j - i). Row k of the
-    # table holds the intrinsic value strike - S0 * up^(k - steps), built in
-    # place from one power per node, so every node is exact (no drift from
-    # repeated multiplication); level i reads every other row.
-    intrinsic = np.power(up, np.arange(-steps, steps + 1)[:, None])
-    np.multiply(intrinsic, SPOT_REFERENCE, out=intrinsic)
-    np.subtract(strike, intrinsic, out=intrinsic)
-    value = np.maximum(intrinsic[::2], 0.0)
-    scratch = np.empty_like(value)
+    # Stock prices at level i, node j are S0 * up^(2j - i). Level i reads the
+    # intrinsic values strike - S0 * up^(k - steps) of every other k from
+    # first = steps - i on, each built in place from one power, so every node
+    # is exact (no drift from repeated multiplication). The rows k are kept
+    # as two tables, even k and odd k, so that level i reads the contiguous
+    # block parity[first % 2][first // 2:] and not a stride-2 slice. The
+    # exponents are written into each table and raised in place: numpy's
+    # power takes exact shortcuts (1/x, x*x) for an exponent of -1, 1 or 2
+    # that is constant along its inner loop, and whether a broadcast exponent
+    # is constant there depends on the chunk width, so a broadcast exponent
+    # would make the bits of those rows depend on the width.
+    offsets = np.arange(-steps, steps + 1)
+    parity = []
+    for start in (0, 1):
+        exponents = offsets[start::2, None]
+        table = np.empty((len(exponents), len(up)))
+        table[...] = exponents
+        np.power(up, table, out=table)
+        np.multiply(table, SPOT_REFERENCE, out=table)
+        np.subtract(strike, table, out=table)
+        parity.append(table)
+    value = np.maximum(parity[0], 0.0)
 
     # Zero trim. Terminal node j is the lowest-stock descendant of node
     # (i, j), so if j is out of the money for a contract, node (i, j) has
@@ -146,14 +199,22 @@ def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
     # never updated. Every other node takes the same operations in the same
     # order as without the trim, so the bits do not change.
     itm = int(np.count_nonzero(value.any(axis=1)))
+    # No level updates more than min(steps, itm) rows. The coefficients are
+    # broadcast once into contiguous arrays of that many rows, so both
+    # multiplies run on same-shape operands; a (contracts,) row broadcast
+    # over the nodes would again make numpy loop row by row.
+    pu_rows, pd_rows, scratch = np.empty((3, min(steps, itm), len(pu)))
+    pu_rows[...] = pu
+    pd_rows[...] = pd
     for level in range(steps - 1, -1, -1):
         nodes = min(level + 1, itm)
         node_value = value[:nodes]
-        np.multiply(pu, value[1 : nodes + 1], out=scratch[:nodes])
-        np.multiply(pd, node_value, out=node_value)
+        np.multiply(pu_rows[:nodes], value[1 : nodes + 1], out=scratch[:nodes])
+        np.multiply(pd_rows[:nodes], node_value, out=node_value)
         np.add(scratch[:nodes], node_value, out=node_value)
         first = steps - level
-        np.maximum(node_value, intrinsic[first : first + 2 * nodes : 2], out=node_value)
+        block = first // 2
+        np.maximum(node_value, parity[first % 2][block : block + nodes], out=node_value)
     return value[0].copy()
 
 
@@ -163,9 +224,10 @@ def crr_american_put(contract: OptionContract, steps: int = DEFAULT_TREE_STEPS) 
     The result is bounded below by the immediate exercise value and above
     by the dollar strike.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    return float(_crr_put_batch(contract_terms([contract]), steps)[0])
+    steps = _check_steps(steps)
+    params = contract_terms([contract])
+    _check_no_arbitrage(params, steps, lambda row: "contract")
+    return float(_crr_put_batch(params, steps)[0])
 
 
 def price_contracts(
@@ -173,19 +235,22 @@ def price_contracts(
 ) -> np.ndarray:
     """Price many contracts (see :func:`contract_terms`); results follow input order.
 
-    Pricing is pure, so the work may be farmed across processes in chunks
-    of ``CHUNK_SIZE`` contracts; ``workers`` does not affect the returned bits.
+    Every contract is checked for a no-arbitrage tree before any is priced;
+    an error names the caller's row. Pricing is pure, so the work may be
+    farmed across processes in chunks of :func:`contracts_per_chunk`
+    contracts; ``workers`` does not affect the returned bits.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = _check_steps(steps)
     params = contract_terms(contracts)
+    _check_no_arbitrage(params, steps)
     # Sorting by moneyness log K / (vol sqrt(T)) orders contracts by their
     # count of in-the-money terminal nodes, so each chunk's zero trim is
     # tight. Columns never mix, so the order does not change the bits.
     moneyness = np.log(params[:, 0]) / (params[:, 4] * np.sqrt(params[:, 1]))
     order = np.argsort(moneyness)
     ordered = params[order]
-    chunks = [ordered[i : i + CHUNK_SIZE] for i in range(0, len(ordered), CHUNK_SIZE)]
+    size = contracts_per_chunk(steps)
+    chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
     if workers is None or workers <= 1 or len(chunks) <= 1:
         parts = [_crr_put_batch(chunk, steps) for chunk in chunks]
     else:

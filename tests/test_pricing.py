@@ -4,14 +4,16 @@ import math
 import numpy as np
 import pytest
 
+from errortail import pricing
 from errortail.pricing import (
-    CHUNK_SIZE,
+    CHUNK_NODES,
     C_TEST,
     C_TRAIN,
     DomainBox,
     OptionContract,
     bs_european_put,
     contract_terms,
+    contracts_per_chunk,
     crr_american_put,
     price_contracts,
     read_priced_csv,
@@ -62,13 +64,14 @@ def row_major_oracle(params: np.ndarray, steps: int) -> np.ndarray:
     return value[:, 0]
 
 
-def mixed_moneyness_contracts() -> np.ndarray:
-    """More than two chunks in shuffled order: the training box, deep
-    in-the-money puts, and enough deep out-of-the-money puts (price exactly
-    0.0) that one chunk sorted by moneyness has no node in the money."""
+def mixed_moneyness_contracts(steps: int) -> np.ndarray:
+    """More than two chunks at ``steps`` in shuffled order: the training box,
+    deep in-the-money puts, and enough deep out-of-the-money puts (price
+    exactly 0.0) that one chunk sorted by moneyness has no node in the money."""
     g = generator(17)
-    box = contract_terms(sample_uniform(C_TRAIN, CHUNK_SIZE, seed=18))
-    deep_out = contract_terms(sample_uniform(C_TRAIN, CHUNK_SIZE + 3, seed=19))
+    chunk = contracts_per_chunk(steps)
+    box = contract_terms(sample_uniform(C_TRAIN, chunk, seed=18))
+    deep_out = contract_terms(sample_uniform(C_TRAIN, chunk + 3, seed=19))
     deep_out[:, 0] = g.uniform(0.02, 0.05, len(deep_out))
     deep_out[:, 4] = g.uniform(0.05, 0.1, len(deep_out))
     deep_in = contract_terms(sample_uniform(C_TRAIN, 40, seed=20))
@@ -188,23 +191,25 @@ class TestTreePricer:
 
     def test_workers_do_not_change_bits(self):
         # more than two chunks, the last one short, so the pool path runs
-        contracts = random_contracts(C_TRAIN, 2 * CHUNK_SIZE + 5, seed=9)
-        serial = price_contracts(contracts, steps=4)
-        scalar = np.array([crr_american_put(c, 4) for c in contracts])
+        steps = 100
+        contracts = random_contracts(C_TRAIN, 2 * contracts_per_chunk(steps) + 5, seed=9)
+        serial = price_contracts(contracts, steps)
+        scalar = np.array([crr_american_put(c, steps) for c in contracts])
         assert np.array_equal(serial, scalar)
-        assert np.array_equal(price_contracts(contracts, steps=4, workers=2), serial)
+        assert np.array_equal(price_contracts(contracts, steps, workers=2), serial)
 
-    @pytest.mark.parametrize("steps", [1, 2, 37, 500])
+    @pytest.mark.parametrize("steps", [1, 2, 20, 37, 500, 1000])
     def test_matches_row_major_oracle_bitwise(self, steps):
-        contracts = mixed_moneyness_contracts()
+        contracts = mixed_moneyness_contracts(steps)
         oracle = row_major_oracle(contracts, steps)
-        assert len(contracts) > 2 * CHUNK_SIZE
+        chunk = contracts_per_chunk(steps)
+        assert len(contracts) > 2 * chunk
         deep_out = contracts[:, 0] <= 0.05
-        assert np.count_nonzero(deep_out) > CHUNK_SIZE and np.all(oracle[deep_out] == 0.0)
+        assert np.count_nonzero(deep_out) > chunk and np.all(oracle[deep_out] == 0.0)
         assert np.all(oracle[contracts[:, 0] >= 2.0] > 0.0)
         assert np.array_equal(price_contracts(contracts, steps), oracle)
         assert np.array_equal(price_contracts(contracts, steps, workers=2), oracle)
-        scalar = [crr_american_put(OptionContract(*terms), steps) for terms in contracts]
+        scalar = [crr_american_put(OptionContract._make(t), steps) for t in contracts.tolist()]
         assert np.array_equal(scalar, oracle)
 
     def test_deterministic(self):
@@ -228,12 +233,43 @@ class TestTreePricer:
         assert prices.shape == (32,)
         assert np.all(prices >= 0.0)
 
+    def test_arbitrage_is_checked_in_caller_order_before_any_pricing(self, monkeypatch):
+        # two bad rows in different chunks; the later row sorts first by
+        # moneyness (lower strike), so a per-chunk check would name it
+        steps = 500
+        chunk = contracts_per_chunk(steps)
+        terms = contract_terms(random_contracts(C_TEST, 3 * chunk, seed=12))
+        early, late = 5, len(terms) - 5
+        terms[early] = (1.4, 12.0, 0.0, 50.0, 0.1)
+        terms[late] = (0.6, 12.0, 0.0, 50.0, 0.1)
+        order = np.argsort(np.log(terms[:, 0]) / (terms[:, 4] * np.sqrt(terms[:, 1])))
+        rank = np.argsort(order)
+        assert rank[late] // chunk < rank[early] // chunk
+
+        def fail(*args, **kwargs):
+            raise AssertionError("pricing started before the check")
+
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(pricing, "_crr_put_batch", fail)
+        message = rf"^row {early}: .*probability .*\[1\.4, 12\.0, 0\.0, 50\.0, 0\.1\]"
+        for workers in (None, 2):
+            with pytest.raises(ValueError, match=message):
+                price_contracts(terms, steps, workers=workers)
+
     def test_rejects_bad_steps(self):
         contract = OptionContract(1.0, 12.0, 0.02, 0.0, 0.2)
-        with pytest.raises(ValueError, match="steps"):
-            crr_american_put(contract, 0)
-        with pytest.raises(ValueError, match="steps"):
-            price_contracts([contract], steps=0)
+        for steps, error in [(True, TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError)]:
+            with pytest.raises(error, match="steps"):
+                crr_american_put(contract, steps)
+            with pytest.raises(error, match="steps"):
+                price_contracts([contract], steps=steps)
+
+    @pytest.mark.parametrize("steps", [1, 2, 20, 500, 1000, 65_535, 10**6])
+    def test_chunk_rule_fits_the_node_budget(self, steps):
+        chunk = contracts_per_chunk(steps)
+        assert chunk >= 1
+        if chunk > 1:
+            assert (steps + 1) * chunk <= CHUNK_NODES
 
 
 class TestEuropeanClosedForm:
