@@ -7,18 +7,12 @@ around an American-put binomial-tree oracle and a from-scratch neural
 surrogate to exercise them end to end.
 """
 
-from .gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample
+from .gpd import GpdParams, gpd_sample
 from .mlp import (
-    AdamState,
     MlpModel,
     TrainConfig,
     TrainingReport,
-    adam_init,
-    adam_step,
     error_sample,
-    forward_batch,
-    gradient,
-    init_model,
     load_model,
     save_model,
     train,
@@ -48,14 +42,12 @@ from .tail import (
     markov_bound,
     mean_excess,
     read_error_csv,
-    shape_estimate_known_endpoint,
     tail_fit,
     write_error_csv,
 )
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
-    FigureRow,
     desk_scale_config,
     emit_figure_csv,
     load_config,

@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .mlp import TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
-from .pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
+from .pricing import (
+    C_TEST, C_TRAIN, check_integer, contract_terms, price_contracts, sample_uniform,
+)
 from .rng import stage_seed
 from .tail import (
     DegenerateSampleError,
@@ -46,6 +48,17 @@ FIGURE_HEADER = "x,evt_mean,evt_lo,evt_hi,empirical,markov_m2,markov_m4"
 FIGURE_POINTS = 40
 
 
+# integer fields and their least values; a seed may be any integer
+_INTEGER_FIELDS = (
+    ("train_samples", 1),
+    ("test_sets", 1),
+    ("test_set_size", 1),
+    ("k", 2),
+    ("tree_steps", 1),
+    ("master_seed", None),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings of one experiment run."""
@@ -62,11 +75,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         """Reject settings the run would fail on, before any pricing."""
-        for name in ("train_samples", "test_sets", "test_set_size", "tree_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        for name, minimum in _INTEGER_FIELDS:
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if 2 * self.k > self.test_set_size:
             raise ValueError(
                 f"need 2k <= test_set_size, got k={self.k}, "

@@ -2,7 +2,9 @@
 
 Everything lives in numpy: dense forward pass, exact backpropagation of the
 mean squared error, the Adam update with bias correction, and the training
-loop with a validation split and seeded mini-batch shuffling. Inputs are
+loop with a validation split and seeded mini-batch shuffling. The Adam
+update works in place on the model's own weight and bias arrays, so training
+holds one copy of the parameters plus their two moment arrays. Inputs are
 mapped componentwise onto the unit hypercube using the training-domain
 bounds, and targets are scaled down by a constant (prices top out around
 160 USD, so the default scale is 100).
@@ -27,11 +29,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .pricing import C_TRAIN, DomainBox, contract_terms
+from .pricing import C_TRAIN, DomainBox, check_integer, contract_terms
 from .rng import generator, stage_seed
 from .tail import ErrorSample
 
@@ -56,10 +59,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        self.epochs = check_integer("epochs", self.epochs, 1)
+        self.batch_size = check_integer("batch_size", self.batch_size, 1)
+        self.seed = check_integer("seed", self.seed, None)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError(
                 f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
@@ -114,18 +116,13 @@ class MlpModel:
             )
 
     def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list, weight then bias per layer."""
+        """Flat parameter list, weight then bias per layer: the model's own
+        arrays, so writing into them changes the model."""
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
-
-    def set_parameters(self, tensors: Sequence[np.ndarray]) -> None:
-        n_layers = len(self.weights)
-        for i in range(n_layers):
-            self.weights[i] = tensors[2 * i]
-            self.biases[i] = tensors[2 * i + 1]
 
 
 def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
@@ -265,48 +262,33 @@ def gradient(model: MlpModel, x, prices) -> list[np.ndarray]:
     return _gradient_arrays(model, x, scale_targets(model, prices))
 
 
-@dataclass
-class AdamState:
-    """Parameters plus first/second moment accumulators and a step counter."""
-
-    tensors: list[np.ndarray]
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    step: int = 0
-
-
-def adam_init(tensors: Sequence[np.ndarray]) -> AdamState:
-    return AdamState(
-        tensors=[t.copy() for t in tensors],
-        m=[np.zeros_like(t) for t in tensors],
-        v=[np.zeros_like(t) for t in tensors],
-        step=0,
-    )
-
-
 def adam_step(
-    state: AdamState, grads: Sequence[np.ndarray], config: TrainConfig
-) -> AdamState:
-    """One bias-corrected Adam update; returns a new state."""
-    if len(grads) != len(state.tensors):
+    params: Sequence[np.ndarray],
+    moments: Sequence[tuple[np.ndarray, np.ndarray]],
+    grads: Sequence[np.ndarray],
+    step: int,
+    config: TrainConfig,
+) -> None:
+    """Bias-corrected Adam update number ``step`` (counted from 1), in place
+    on the parameter arrays ``params`` and their first and second moments
+    ``moments``, one (m, v) pair per parameter array. The shapes are checked
+    before any array changes."""
+    if len(grads) != len(params):
         raise ValueError("gradient list does not match the parameter list")
-    b1, b2 = config.adam_beta1, config.adam_beta2
-    t = state.step + 1
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-    tensors, ms, vs = [], [], []
-    for theta, m, v, g in zip(state.tensors, state.m, state.v, grads):
+    for theta, g in zip(params, grads):
         if g.shape != theta.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter shape {theta.shape}"
             )
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * (g * g)
-        update = (m_new / c1) / (np.sqrt(v_new / c2) + config.adam_epsilon)
-        tensors.append(theta - config.learning_rate * update)
-        ms.append(m_new)
-        vs.append(v_new)
-    return AdamState(tensors=tensors, m=ms, v=vs, step=t)
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    c1 = 1.0 - b1**step
+    c2 = 1.0 - b2**step
+    for theta, (m, v), g in zip(params, moments, grads):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        theta -= config.learning_rate * ((m / c1) / (np.sqrt(v / c2) + config.adam_epsilon))
 
 
 @dataclass(frozen=True)
@@ -355,7 +337,9 @@ def train(
     x_val, y_val = x_all[val_idx], y_all[val_idx]
     y_train_scaled = scale_targets(model, y_train)
 
-    state = adam_init(model.parameters())
+    params = model.parameters()
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    step = 0
     train_curve: list[float] = []
     val_curve: list[float] = []
     for _ in range(config.epochs):
@@ -363,8 +347,8 @@ def train(
         for start in range(0, train_size, config.batch_size):
             rows = epoch_order[start : start + config.batch_size]
             grads = _gradient_arrays(model, x_train[rows], y_train_scaled[rows])
-            state = adam_step(state, grads, config)
-            model.set_parameters(state.tensors)
+            step += 1
+            adam_step(params, moments, grads, step, config)
         train_curve.append(_mse_usd(model, x_train, y_train))
         val_curve.append(_mse_usd(model, x_val, y_val))
     report = TrainingReport(
@@ -426,13 +410,12 @@ def load_model(path) -> MlpModel:
             return convert(doc[key])
         except KeyError as exc:
             raise ValueError(f"{path}: field {key!r}: missing {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: field {key!r}: {exc}") from None
 
     widths = field("layer_widths", lambda widths: tuple(map(_width, widths)))
     layers = field("layers", lambda layers: [
-        (np.asarray(layer["weights"], dtype=float), np.asarray(layer["bias"], dtype=float))
-        for layer in layers
+        _layer_arrays(index, layer) for index, layer in enumerate(layers)
     ])
     lower = field("input_lower", _vector)
     upper = field("input_upper", _vector)
@@ -443,6 +426,15 @@ def load_model(path) -> MlpModel:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _layer_arrays(index: int, layer) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's weight rows and bias as arrays; every element must be a JSON
+    number, so true, a string, null or a nested list is not read as one."""
+    weights, bias = layer["weights"], layer["bias"]
+    if not {float, int}.issuperset(map(type, chain(bias, chain.from_iterable(weights)))):
+        raise ValueError(f"layer {index} holds an element that is not a number")
+    return np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
 
 
 def _number(value) -> float:

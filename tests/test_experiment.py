@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,6 +79,27 @@ class TestConfig:
         with pytest.raises(ValueError, match="training rows"):
             ExperimentConfig(train_samples=120, train_config=TrainConfig(batch_size=100))
         ExperimentConfig(train_samples=125, train_config=TrainConfig(batch_size=100))
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0])
+    @pytest.mark.parametrize(
+        "name", ["train_samples", "test_sets", "test_set_size", "k", "tree_steps", "master_seed"]
+    )
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        # rejected at construction: 2.5 steps would fail only after sampling,
+        # and master_seed 2.0 would seed every stage unlike master_seed 2
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            desk_scale_config(**{name: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = desk_scale_config(
+            train_samples=np.int64(500), test_sets=np.int64(3), test_set_size=np.int64(400),
+            k=np.int64(10), tree_steps=np.int64(20), master_seed=np.int64(7),
+        )
+        values = (config.train_samples, config.test_sets, config.test_set_size,
+                  config.k, config.tree_steps, config.master_seed)
+        assert values == (500, 3, 400, 10, 20, 7)
+        assert {type(v) for v in values} == {int}
 
     def test_scale_presets(self):
         desk = desk_scale_config()

@@ -1,6 +1,8 @@
 import io
 import json
+import re
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from errortail.mlp import (
     EVAL_BLOCK_ROWS,
     TrainConfig,
     _forward_raw,
-    adam_init,
     adam_step,
     error_sample,
     forward_batch,
@@ -18,6 +19,7 @@ from errortail.mlp import (
     load_model,
     save_model,
     scale_targets,
+    split_sizes,
     train,
 )
 from errortail.pricing import (
@@ -28,7 +30,7 @@ from errortail.pricing import (
     price_contracts,
     sample_uniform,
 )
-from errortail.rng import generator
+from errortail.rng import generator, stage_seed
 
 # toy box keeping every contract field strictly positive
 UNIT_BOX = DomainBox(lower=(0.01,) * 5, upper=(1.0,) * 5)
@@ -277,31 +279,35 @@ class TestAdam:
     def config(self, **kw):
         return TrainConfig(seed=0, **kw)
 
+    def moments(self, params):
+        return [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+
     def test_first_step_is_signed_learning_rate(self):
         config = self.config(learning_rate=0.01)
-        params = [np.array([1.0, -2.0, 3.0])]
+        start = np.array([1.0, -2.0, 3.0])
+        params = [start.copy()]
         grads = [np.array([0.5, -0.25, 1.0])]
-        state = adam_init(params)
-        new = adam_step(state, grads, config)
-        expected = params[0] - config.learning_rate * grads[0] / (
+        adam_step(params, self.moments(params), grads, 1, config)
+        expected = start - config.learning_rate * grads[0] / (
             np.abs(grads[0]) + config.adam_epsilon
         )
-        np.testing.assert_allclose(new.tensors[0], expected, rtol=1e-12)
+        np.testing.assert_allclose(params[0], expected, rtol=1e-12)
 
     def test_zero_gradient_is_fixed_point(self):
         config = self.config()
         params = [np.array([1.0, 2.0])]
-        state = adam_init(params)
-        for _ in range(5):
-            state = adam_step(state, [np.zeros(2)], config)
-        assert np.array_equal(state.tensors[0], params[0])
+        moments = self.moments(params)
+        for step in range(1, 6):
+            adam_step(params, moments, [np.zeros(2)], step, config)
+        assert np.array_equal(params[0], np.array([1.0, 2.0]))
 
     def test_two_steps_match_scalar_recurrence(self):
         config = self.config(learning_rate=0.1)
         grad_value = 0.7
-        state = adam_init([np.array([1.0])])
-        for _ in range(2):
-            state = adam_step(state, [np.array([grad_value])], config)
+        params = [np.array([1.0])]
+        moments = self.moments(params)
+        for step in (1, 2):
+            adam_step(params, moments, [np.array([grad_value])], step, config)
 
         theta, m, v = 1.0, 0.0, 0.0
         b1, b2, eps, lr = (
@@ -314,13 +320,71 @@ class TestAdam:
             m = b1 * m + (1 - b1) * grad_value
             v = b2 * v + (1 - b2) * grad_value**2
             theta -= lr * (m / (1 - b1**t)) / ((v / (1 - b2**t)) ** 0.5 + eps)
-        assert state.tensors[0][0] == pytest.approx(theta, abs=1e-12)
-        assert state.step == 2
+        assert params[0][0] == pytest.approx(theta, abs=1e-12)
+        assert moments[0][0][0] == pytest.approx(m, abs=1e-15)
+        assert moments[0][1][0] == pytest.approx(v, abs=1e-15)
 
     def test_rejects_mismatched_shapes(self):
-        state = adam_init([np.zeros((2, 2))])
+        params = [np.ones(3), np.zeros((2, 2))]
+        moments = self.moments(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(state, [np.zeros(3)], self.config())
+            adam_step(params, moments, [np.ones(3), np.zeros(3)], 1, self.config())
+        assert np.array_equal(params[0], np.ones(3))
+        assert not moments[0][0].any()
+
+
+FrozenAdamState = namedtuple("FrozenAdamState", "tensors m v step")
+
+
+def frozen_adam_step(state, grads, config):
+    """The functional Adam step train ran before its update went in place:
+    every step returns new arrays. Kept unchanged as the trainer's
+    bit-identity oracle."""
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    t = state.step + 1
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    tensors, ms, vs = [], [], []
+    for theta, m, v, g in zip(state.tensors, state.m, state.v, grads):
+        m_new = b1 * m + (1.0 - b1) * g
+        v_new = b2 * v + (1.0 - b2) * (g * g)
+        update = (m_new / c1) / (np.sqrt(v_new / c2) + config.adam_epsilon)
+        tensors.append(theta - config.learning_rate * update)
+        ms.append(m_new)
+        vs.append(v_new)
+    return FrozenAdamState(tensors, ms, vs, t)
+
+
+def frozen_train(x, prices, widths, config, input_box):
+    """train's split, shuffles and batches on frozen_adam_step, which hands
+    the model new arrays after every step."""
+    train_size, val_size = split_sizes(len(prices), config)
+    model = init_model(widths, stage_seed(config.seed, "init"), input_box=input_box)
+    shuffle_rng = generator(stage_seed(config.seed, "shuffle"))
+    train_idx = shuffle_rng.permutation(len(prices))[val_size:]
+    x_train, y_train = x[train_idx], prices[train_idx]
+    params = model.parameters()
+    zeros = [np.zeros_like(p) for p in params]
+    state = FrozenAdamState([p.copy() for p in params], zeros, zeros, 0)
+    for _ in range(config.epochs):
+        epoch_order = shuffle_rng.permutation(train_size)
+        for start in range(0, train_size, config.batch_size):
+            rows = epoch_order[start : start + config.batch_size]
+            state = frozen_adam_step(state, gradient(model, x_train[rows], y_train[rows]), config)
+            model.weights[:] = state.tensors[0::2]
+            model.biases[:] = state.tensors[1::2]
+    return model
+
+
+def test_train_matches_the_frozen_functional_step_bitwise():
+    # 103 rows: 21 held out, 82 trained in batches of 20, the last one of 2
+    x, y = toy_set(103, seed=15)
+    config = TrainConfig(epochs=3, batch_size=20, seed=4)
+    assert split_sizes(len(y), config) == (82, 21)
+    model, _ = train(x, y, [5, 8, 8, 1], config, input_box=UNIT_BOX)
+    oracle = frozen_train(x, y, [5, 8, 8, 1], config, UNIT_BOX)
+    for got, want in zip(model.parameters(), oracle.parameters(), strict=True):
+        assert np.array_equal(got, want)
 
 
 class TestTrainConfigValidation:
@@ -331,6 +395,19 @@ class TestTrainConfigValidation:
             TrainConfig(validation_fraction=1.0)
         with pytest.raises(ValueError, match="adam_beta1"):
             TrainConfig(adam_beta1=1.0)
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0])
+    @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
+    def test_counts_and_seed_must_be_integers(self, name, value):
+        message = re.escape(f"{name} must be an integer, got {value!r}")
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            TrainConfig(**{name: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = TrainConfig(epochs=np.int64(3), batch_size=np.int64(7), seed=np.int64(-2))
+        values = (config.epochs, config.batch_size, config.seed)
+        assert values == (3, 7, -2)
+        assert {type(v) for v in values} == {int}
 
 
 class TestTrain:
@@ -550,6 +627,24 @@ BROKEN_MODEL_FILES = [
     pytest.param(
         _with_layer(1, weights=[[float("inf")] * 4]), "layer 1 weights and biases must be finite",
         id="inf-weight",
+    ),
+    # a layer element that is no JSON number is not read as one
+    pytest.param(
+        _with_layer(1, bias=[True]),
+        "field 'layers': layer 1 holds an element that is not a number", id="bool-bias",
+    ),
+    pytest.param(
+        lambda doc: _with_layer(1, weights=[["0.5", *doc["layers"][1]["weights"][0][1:]]])(doc),
+        "field 'layers': layer 1 holds an element that is not a number", id="string-weight",
+    ),
+    # a JSON integer beyond the float range
+    pytest.param(
+        _with_layer(1, bias=[10**400]), "field 'layers': int too large to convert to float",
+        id="huge-int-bias",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "target_scale": 10**400},
+        "field 'target_scale': int too large to convert to float", id="huge-int-target-scale",
     ),
 ]
 

@@ -258,7 +258,9 @@ class TestTreePricer:
 
     def test_rejects_bad_steps(self):
         contract = OptionContract(1.0, 12.0, 0.02, 0.0, 0.2)
-        for steps, error in [(True, TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError)]:
+        for steps, error in [
+            (True, TypeError), (2.5, TypeError), (2.0, TypeError), (0, ValueError), (-1, ValueError)
+        ]:
             with pytest.raises(error, match="steps"):
                 crr_american_put(contract, steps)
             with pytest.raises(error, match="steps"):
