@@ -18,7 +18,7 @@ timestamps, which makes reruns byte-identical.
 from __future__ import annotations
 
 import io
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +40,7 @@ from .tail import (
     tail_fit,
     write_error_csv,
 )
-from .textio import read_key_values, read_table, write_table
+from .textio import read_key_values, write_table
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -117,9 +117,9 @@ def desk_scale_config(**overrides) -> ExperimentConfig:
     return replace(ExperimentConfig(), **overrides) if overrides else ExperimentConfig()
 
 
-def paper_scale_config(**overrides) -> ExperimentConfig:
+def paper_scale_config() -> ExperimentConfig:
     """Full-size configuration (hours of tree pricing and training)."""
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         train_samples=100_000,
         test_sets=100,
         test_set_size=100_000,
@@ -127,26 +127,6 @@ def paper_scale_config(**overrides) -> ExperimentConfig:
         tree_steps=1000,
         widths=(5, 300, 300, 300, 1),
     )
-    return replace(cfg, **overrides) if overrides else cfg
-
-
-@dataclass(frozen=True)
-class FigureRow:
-    """One level x of the exceedance figure.
-
-    ``evt_mean`` averages the per-set exceedance estimates at x, the band
-    is mean -/+ twice their standard deviation (clipped to [0, 1]), and the
-    remaining columns are the pooled empirical survival fraction and the
-    pooled moment bounds with m = 2 and m = 4.
-    """
-
-    x: float
-    evt_mean: float
-    evt_lo: float
-    evt_hi: float
-    empirical_pooled: float
-    markov_m2: float
-    markov_m4: float
 
 
 @dataclass
@@ -247,8 +227,7 @@ def run_experiment(
     )
 
     write_report(report, out_dir / "report.txt")
-    grid = default_figure_grid(report)
-    emit_figure_csv(report, grid, out_dir / "figure1.csv")
+    emit_figure_csv(report, out_dir / "figure1.csv")
     write_error_csv(
         out_dir / "pooled_errors.csv", pooled, comments=_config_comments(report)
     )
@@ -292,27 +271,19 @@ def _aggregate(
     )
 
 
-def default_figure_grid(report: ExperimentReport) -> np.ndarray:
-    """``FIGURE_POINTS`` geometric x levels from the reference threshold to
-    the pooled maximum."""
+def _figure_table(report: ExperimentReport) -> np.ndarray:
+    """The figure's (``FIGURE_POINTS``, 7) columns in ``FIGURE_HEADER`` order.
+
+    The levels x run geometrically from the reference threshold to the
+    pooled maximum. ``evt_mean`` averages the per-set exceedance estimates
+    at x, the band is mean -/+ twice their standard deviation (clipped to
+    [0, 1]), and the remaining columns are the pooled empirical survival
+    fraction and the pooled moment bounds with m = 2 and m = 4.
+    """
     top = float(report.pooled.values[-1])
     if top <= report.u_ref:
         raise ValueError("pooled maximum does not exceed the reference threshold")
-    return np.geomspace(report.u_ref, top, FIGURE_POINTS)
-
-
-def figure_rows(report: ExperimentReport, grid) -> list[FigureRow]:
-    """Evaluate the figure columns on a sorted grid of levels."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("grid must be a nonempty 1-d sequence")
-    if np.any(np.diff(grid) < 0.0):
-        raise ValueError("grid must be sorted ascending")
-    if grid[0] < report.u_ref:
-        raise ValueError(
-            f"grid starts at {float(grid[0])!r}, below the reference threshold "
-            f"{report.u_ref!r}"
-        )
+    grid = np.geomspace(report.u_ref, top, FIGURE_POINTS)
     good = [
         (f, e)
         for f, e in zip(report.fits, report.per_set_errors)
@@ -322,22 +293,17 @@ def figure_rows(report: ExperimentReport, grid) -> list[FigureRow]:
     means = per_set.mean(axis=0)
     stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
     empirical = pooled_empirical_sf(report.pooled, grid)
-    m2 = np.array([markov_bound(report.pooled, 2.0, x) for x in grid])
-    m4 = np.array([markov_bound(report.pooled, 4.0, x) for x in grid])
-    rows = []
-    for i, x in enumerate(grid):
-        rows.append(
-            FigureRow(
-                x=float(x),
-                evt_mean=float(means[i]),
-                evt_lo=float(max(0.0, means[i] - 2.0 * stds[i])),
-                evt_hi=float(min(1.0, means[i] + 2.0 * stds[i])),
-                empirical_pooled=float(empirical[i]),
-                markov_m2=float(m2[i]),
-                markov_m4=float(m4[i]),
-            )
-        )
-    return rows
+    m2 = [markov_bound(report.pooled, 2.0, x) for x in grid]
+    m4 = [markov_bound(report.pooled, 4.0, x) for x in grid]
+    return np.column_stack([
+        grid,
+        means,
+        np.maximum(0.0, means - 2.0 * stds),
+        np.minimum(1.0, means + 2.0 * stds),
+        empirical,
+        m2,
+        m4,
+    ])
 
 
 def format_probability(p: float) -> str:
@@ -363,24 +329,17 @@ def _config_comments(report: ExperimentReport) -> dict:
     return comments
 
 
-def emit_figure_csv(report: ExperimentReport, grid, path) -> Path:
+def emit_figure_csv(report: ExperimentReport, path) -> None:
     """Write the figure CSV; the resolved configuration rides along as
     ``#`` comment lines above the fixed header."""
     rows = (
-        ",".join([repr(row.x), *map(format_probability, astuple(row)[1:])])
-        for row in figure_rows(report, grid)
+        ",".join([repr(x), *map(format_probability, probabilities)])
+        for x, *probabilities in _figure_table(report).tolist()
     )
     write_table(path, FIGURE_HEADER, rows, _config_comments(report))
-    return Path(path)
 
 
-def read_figure_csv(path) -> list[FigureRow]:
-    """Read back a figure CSV written by :func:`emit_figure_csv`."""
-    _, table = read_table(path, FIGURE_HEADER)
-    return [FigureRow(*values) for values in table.tolist()]
-
-
-def write_report(report: ExperimentReport, path) -> Path:
+def write_report(report: ExperimentReport, path) -> None:
     """Persist the run as flat key/value text plus a per-set fit table."""
     buf = io.StringIO()
     buf.write(f"report_version = {REPORT_VERSION}\n")
@@ -425,7 +384,6 @@ def write_report(report: ExperimentReport, path) -> Path:
     buf.write(f"pooled_max_error = {float(report.pooled.values[-1])!r}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
-    return Path(path)
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

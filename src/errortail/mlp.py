@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -126,13 +125,11 @@ class MlpModel:
 
 
 def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
-    """Widths as ints: integers (no fractional width is truncated, no bool
-    is taken for 0 or 1), at least two, positive, first = input_dim, last = 1."""
-    widths = tuple(map(_width, widths))
+    """Widths as ints: positive integers (:func:`check_integer`), at least
+    two, first = input_dim, last = 1."""
+    widths = tuple(check_integer("a width", w, 1) for w in widths)
     if len(widths) < 2:
         raise ValueError("widths needs at least an input and an output layer")
-    if any(w < 1 for w in widths):
-        raise ValueError(f"layer widths must be positive, got {widths}")
     if widths[0] != input_dim:
         raise ValueError(
             f"first width ({widths[0]}) must match the input dimension ({input_dim})"
@@ -140,12 +137,6 @@ def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
     if widths[-1] != 1:
         raise ValueError(f"last width must be 1, got {widths[-1]}")
     return widths
-
-
-def _width(value) -> int:
-    if isinstance(value, bool):
-        raise TypeError(f"a width must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 def split_sizes(size: int, config: TrainConfig) -> tuple[int, int]:
@@ -413,7 +404,9 @@ def load_model(path) -> MlpModel:
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: field {key!r}: {exc}") from None
 
-    widths = field("layer_widths", lambda widths: tuple(map(_width, widths)))
+    widths = field(
+        "layer_widths", lambda widths: tuple(check_integer("a width", w, 1) for w in widths)
+    )
     layers = field("layers", lambda layers: [
         _layer_arrays(index, layer) for index, layer in enumerate(layers)
     ])

@@ -288,8 +288,8 @@ def bs_european_put(contract: OptionContract) -> float:
 
 def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract]:
     """``count`` uniform draws over the box, deterministic given the seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    count = check_integer("count", count, 1)
+    seed = check_integer("seed", seed, None)
     lower = np.asarray(box.lower)
     upper = np.asarray(box.upper)
     u = generator(seed).random((count, 5))
@@ -300,7 +300,7 @@ def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract
 PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 
-def write_priced_csv(path, contracts, prices, comments: dict | None = None) -> None:
+def write_priced_csv(path, contracts, prices) -> None:
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``."""
     terms = contract_terms(contracts)
     prices = np.asarray(prices, dtype=float)
@@ -310,7 +310,7 @@ def write_priced_csv(path, contracts, prices, comments: dict | None = None) -> N
         f"{k!r},{t!r},{r!r},{q!r},{vol!r},{p!r}"
         for (k, t, r, q, vol), p in zip(terms.tolist(), prices.tolist())
     )
-    write_table(path, PRICED_CSV_HEADER, rows, comments)
+    write_table(path, PRICED_CSV_HEADER, rows)
 
 
 def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -12,11 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from errortail.experiment import (
-    desk_scale_config,
-    read_figure_csv,
-    run_experiment,
-)
+from errortail.experiment import FIGURE_HEADER, desk_scale_config, run_experiment
 from errortail.gpd import GpdParams, gpd_cdf, gpd_quantile, gpd_sample
 from errortail.mlp import gradient, init_model, scale_targets, _forward_raw
 from errortail.pricing import (
@@ -36,6 +32,7 @@ from errortail.tail import (
     shape_estimate_known_endpoint,
     tail_fit,
 )
+from errortail.textio import read_table
 
 TREE_TOL = 0.02  # USD
 PRICING_WORKERS = 2
@@ -343,12 +340,15 @@ def test_criterion_10_scaled_experiment_band(desk_run):
     for fit in report.fits:
         ok = ok and exceedance_probability(fit, fit.u) == rate
 
-    rows = read_figure_csv(Path(config.output_dir) / "figure1.csv")
+    _, table = read_table(Path(config.output_dir) / "figure1.csv", FIGURE_HEADER)
+    figure = dict(zip(FIGURE_HEADER.split(","), table.T))
     floor = 1.0 / config.test_set_size
-    qualifying = [r for r in rows if floor <= r.empirical_pooled <= rate]
-    inside = [
-        r for r in qualifying if r.evt_lo <= r.empirical_pooled <= r.evt_hi
+    qualifying = [
+        (lo, empirical, hi)
+        for lo, empirical, hi in zip(figure["evt_lo"], figure["empirical"], figure["evt_hi"])
+        if floor <= empirical <= rate
     ]
+    inside = [r for r in qualifying if r[0] <= r[1] <= r[2]]
     ok = ok and len(qualifying) > 0
     coverage = len(inside) / max(1, len(qualifying))
     ok = ok and coverage >= 0.80

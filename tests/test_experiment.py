@@ -8,20 +8,25 @@ import pytest
 from errortail.experiment import (
     ExperimentConfig,
     FIGURE_HEADER,
+    FIGURE_POINTS,
+    _aggregate,
+    _config_comments,
+    _figure_table,
+    _set_exceedance_estimate,
     desk_scale_config,
-    default_figure_grid,
     emit_figure_csv,
-    figure_rows,
     format_probability,
     load_config,
     paper_scale_config,
     pooled_empirical_sf,
-    read_figure_csv,
     run_experiment,
     write_report,
 )
 from errortail.mlp import TrainConfig, TrainingReport
-from errortail.tail import ErrorSample, exceedance_probability, mean_excess, tail_fit
+from errortail.tail import (
+    ErrorSample, exceedance_probability, markov_bound, mean_excess, tail_fit,
+)
+from errortail.textio import read_table
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -53,6 +58,84 @@ def read_report(path) -> tuple[dict, list[dict]]:
     keyvals = dict(line.split(" = ", 1) for line in lines if " = " in line)
     header, *rows = [line.split(",") for line in lines if "," in line and " = " not in line]
     return keyvals, [dict(zip(header, row)) for row in rows]
+
+
+def read_figure(path) -> dict[str, np.ndarray]:
+    """The columns of a figure CSV, keyed by their header names."""
+    _, table = read_table(path, FIGURE_HEADER)
+    return dict(zip(FIGURE_HEADER.split(","), table.T))
+
+
+def synthetic_report(tmp_path, shared_u=True, test_sets=3):
+    """Report built from hand-made fits over hand-made error sets."""
+    config = tiny_config(
+        tmp_path, k=5, test_sets=test_sets, test_set_size=100, train_samples=1500
+    )
+    rng = np.random.default_rng(0)
+    fits, per_set = [], []
+    for i in range(config.test_sets):
+        base = np.sort(rng.random(100)) * 0.5
+        # pin the k-th largest so every set shares the same threshold
+        if shared_u:
+            base[-config.k - 1] = 0.6
+        base[-config.k :] = np.linspace(0.61, 0.7, config.k)
+        sample = ErrorSample(base)
+        per_set.append(sample)
+        fits.append(tail_fit(sample, config.k))
+    pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
+    return _aggregate(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
+
+
+def degenerate_report(tmp_path):
+    """Report over three hand-made error sets, of which set 1 is all ties
+    and has no fit."""
+    config = tiny_config(tmp_path, k=5, test_set_size=100, train_samples=1500)
+    rng = np.random.default_rng(3)
+    per_set, fits, failures = [], [], []
+    for i in range(config.test_sets):
+        if i == 1:
+            sample = ErrorSample([0.3] * 100)  # ties: unfittable
+            per_set.append(sample)
+            fits.append(None)
+            failures.append((i, "tied order statistics"))
+        else:
+            sample = ErrorSample(rng.random(100))
+            per_set.append(sample)
+            fits.append(tail_fit(sample, config.k))
+    pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
+    return _aggregate(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
+
+
+def frozen_figure_rows(report) -> list[tuple[float, ...]]:
+    """The figure's arithmetic as it stood before the table was one array:
+    per-level Python floats from the per-set stack, its mean and sample
+    standard deviation, the 2-sigma band clipped one level at a time, the
+    pooled survival fraction and the moment-bound loops. Frozen as the
+    oracle for ``_figure_table``; do not edit."""
+    grid = np.geomspace(report.u_ref, float(report.pooled.values[-1]), 40)
+    good = [
+        (f, e)
+        for f, e in zip(report.fits, report.per_set_errors)
+        if f is not None
+    ]
+    per_set = np.vstack([_set_exceedance_estimate(f, e, grid) for f, e in good])
+    means = per_set.mean(axis=0)
+    stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
+    empirical = pooled_empirical_sf(report.pooled, grid)
+    m2 = np.array([markov_bound(report.pooled, 2.0, x) for x in grid])
+    m4 = np.array([markov_bound(report.pooled, 4.0, x) for x in grid])
+    rows = []
+    for i, x in enumerate(grid):
+        rows.append((
+            float(x),
+            float(means[i]),
+            float(max(0.0, means[i] - 2.0 * stds[i])),
+            float(min(1.0, means[i] + 2.0 * stds[i])),
+            float(empirical[i]),
+            float(m2[i]),
+            float(m4[i]),
+        ))
+    return rows
 
 
 @pytest.fixture(scope="module")
@@ -304,28 +387,15 @@ class TestRunExperiment:
         )
 
     def test_degenerate_sets_recorded_and_excluded(self, tmp_path):
-        from errortail.experiment import _aggregate, figure_rows
-
-        config = tiny_config(tmp_path, k=5, test_set_size=100, train_samples=1500)
-        rng = np.random.default_rng(3)
-        per_set, fits, failures = [], [], []
-        for i in range(config.test_sets):
-            if i == 1:
-                sample = ErrorSample([0.3] * 100)  # ties: unfittable
-                per_set.append(sample)
-                fits.append(None)
-                failures.append((i, "tied order statistics"))
-            else:
-                sample = ErrorSample(rng.random(100))
-                per_set.append(sample)
-                fits.append(tail_fit(sample, config.k))
-        pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-        report = _aggregate(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
+        report = degenerate_report(tmp_path)
+        config = report.config
 
         assert len(report.exceed_at_u_ref) == config.test_sets - 1
-        assert report.failures == failures
-        rows = figure_rows(report, np.array([report.u_ref]))
-        assert 0.0 <= rows[0].evt_mean <= 1.0
+        assert report.failures == [(1, "tied order statistics")]
+        assert report.fits[1] is None
+        table = _figure_table(report)
+        assert table[0, 0] == report.u_ref
+        assert 0.0 <= table[0, 1] <= 1.0
 
         path = tmp_path / "report.txt"
         write_report(report, path)
@@ -336,24 +406,26 @@ class TestRunExperiment:
 
 
 class TestFigure:
-    def synthetic_report(self, tmp_path, shared_u=True):
-        """Report built from hand-made fits over hand-made error sets."""
-        from errortail.experiment import _aggregate
-
-        config = tiny_config(tmp_path, k=5, test_set_size=100, train_samples=1500)
-        rng = np.random.default_rng(0)
-        fits, per_set = [], []
-        for i in range(config.test_sets):
-            base = np.sort(rng.random(100)) * 0.5
-            # pin the k-th largest so every set shares the same threshold
-            if shared_u:
-                base[-config.k - 1] = 0.6
-            base[-config.k :] = np.linspace(0.61, 0.7, config.k)
-            sample = ErrorSample(base)
-            per_set.append(sample)
-            fits.append(tail_fit(sample, config.k))
-        pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-        return _aggregate(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
+    @pytest.mark.parametrize(
+        "shape", ["tiny-run", "shared-threshold", "one-set", "degenerate-set"]
+    )
+    def test_table_and_file_match_frozen_rows(self, shape, tiny_run, tmp_path):
+        report = {
+            "tiny-run": lambda: tiny_run[1],
+            "shared-threshold": lambda: synthetic_report(tmp_path),
+            "one-set": lambda: synthetic_report(tmp_path, shared_u=False, test_sets=1),
+            "degenerate-set": lambda: degenerate_report(tmp_path),
+        }[shape]()
+        frozen = frozen_figure_rows(report)
+        assert np.array_equal(_figure_table(report), np.array(frozen))
+        path = tmp_path / "figure1.csv"
+        emit_figure_csv(report, path)
+        comments = "".join(f"# {k}={v}\n" for k, v in _config_comments(report).items())
+        rows = "".join(
+            ",".join([repr(x), *map(format_probability, probabilities)]) + "\n"
+            for x, *probabilities in frozen
+        )
+        assert path.read_text() == f"{comments}{FIGURE_HEADER}\n{rows}"
 
     def test_header_and_round_trip(self, tiny_run):
         config, report = tiny_run
@@ -364,8 +436,8 @@ class TestFigure:
             if line and not line.startswith("#")
         ]
         assert lines[0] == FIGURE_HEADER
-        rows = read_figure_csv(path)
-        assert len(rows) == 40
+        _, table = read_table(path, FIGURE_HEADER)
+        assert table.shape == (40, 7)
 
     def test_figure_embeds_configuration(self, tiny_run):
         config, _ = tiny_run
@@ -376,50 +448,43 @@ class TestFigure:
 
     def test_columns_monotone_and_banded(self, tiny_run):
         config, report = tiny_run
-        rows = read_figure_csv(Path(config.output_dir, "figure1.csv"))
-        evt = [r.evt_mean for r in rows]
-        emp = [r.empirical_pooled for r in rows]
+        figure = read_figure(Path(config.output_dir, "figure1.csv"))
+        evt, emp = figure["evt_mean"], figure["empirical"]
         assert all(a >= b - 1e-15 for a, b in zip(evt, evt[1:]))
         assert all(a >= b for a, b in zip(emp, emp[1:]))
-        for r in rows:
-            assert 0.0 <= r.evt_lo <= r.evt_mean <= r.evt_hi <= 1.0
-            assert 0.0 <= r.empirical_pooled <= 1.0
+        for lo, mean, hi, empirical in zip(figure["evt_lo"], evt, figure["evt_hi"], emp):
+            assert 0.0 <= lo <= mean <= hi <= 1.0
+            assert 0.0 <= empirical <= 1.0
 
     def test_markov_columns_cross_at_moment_ratio(self, tiny_run):
         config, report = tiny_run
-        rows = read_figure_csv(Path(config.output_dir, "figure1.csv"))
+        figure = read_figure(Path(config.output_dir, "figure1.csv"))
         m2 = float(np.mean(report.pooled.values**2))
         m4 = float(np.mean(report.pooled.values**4))
         crossover = (m4 / m2) ** 0.5
-        for r in rows:
-            if r.x > crossover:
-                assert r.markov_m4 <= r.markov_m2 + 1e-15
+        for x, markov_m2, markov_m4 in zip(figure["x"], figure["markov_m2"], figure["markov_m4"]):
+            if x > crossover:
+                assert markov_m4 <= markov_m2 + 1e-15
 
     def test_shared_threshold_row_equals_rate(self, tmp_path):
-        report = self.synthetic_report(tmp_path)
+        report = synthetic_report(tmp_path)
         rate = report.fits[0].k / report.fits[0].n
         u = report.fits[0].u
         assert all(f.u == u for f in report.fits)
-        rows = figure_rows(report, np.array([u, u + 0.01]))
+        row = _figure_table(report)[0]
+        assert row[0] == report.u_ref == u
         # every set contributes exactly k/N at the shared threshold; the
         # cross-set mean and band collapse onto it up to averaging ulps
-        assert rows[0].evt_mean == pytest.approx(rate, abs=1e-15)
-        assert rows[0].evt_lo == pytest.approx(rate, abs=1e-15)
-        assert rows[0].evt_hi == pytest.approx(rate, abs=1e-15)
-
-    def test_grid_validation(self, tmp_path):
-        report = self.synthetic_report(tmp_path)
-        with pytest.raises(ValueError, match="sorted"):
-            figure_rows(report, np.array([0.7, 0.65]))
-        with pytest.raises(ValueError, match="reference threshold"):
-            figure_rows(report, np.array([report.u_ref / 2.0]))
+        assert row[1] == pytest.approx(rate, abs=1e-15)
+        assert row[2] == pytest.approx(rate, abs=1e-15)
+        assert row[3] == pytest.approx(rate, abs=1e-15)
 
     def test_default_grid_spans_threshold_to_max(self, tiny_run):
         _, report = tiny_run
-        grid = default_figure_grid(report)
+        grid = _figure_table(report)[:, 0]
         assert grid[0] == pytest.approx(report.u_ref, rel=1e-12)
         assert grid[-1] == pytest.approx(float(report.pooled.values[-1]), rel=1e-12)
-        assert grid.size == 40
+        assert grid.size == FIGURE_POINTS == 40
 
 
 class TestFormatProbability:

@@ -109,6 +109,10 @@ class TestInit:
             init_model([5], seed=0)
         with pytest.raises(TypeError, match="integer, got True"):
             init_model([5, 4, True], seed=0)
+        with pytest.raises(TypeError, match="^a width must be an integer, got 4.5$"):
+            init_model([5, 4.5, 1], seed=0)
+        with pytest.raises(ValueError, match="^a width must be >= 1, got 0$"):
+            init_model([5, 0, 1], seed=0)
 
 
 class TestForward:
@@ -585,7 +589,7 @@ BROKEN_MODEL_FILES = [
     ),
     pytest.param(
         lambda doc: {**doc, "layer_widths": [5.5, 4, 1]},
-        "field 'layer_widths': 'float' object cannot be interpreted as an integer",
+        "field 'layer_widths': a width must be an integer, got 5.5",
         id="fractional-width",
     ),
     # a JSON true is no width and no number

@@ -314,13 +314,21 @@ class TestSampleUniform:
         with pytest.raises(ValueError, match="count"):
             sample_uniform(C_TEST, 0, seed=1)
 
+    @pytest.mark.parametrize("name", ["count", "seed"])
+    @pytest.mark.parametrize("value", [True, 3.0])
+    def test_count_and_seed_must_be_integers(self, name, value):
+        # a bool is not taken for 1, nor 3.0 for 3
+        args = {"count": 3, "seed": 1, name: value}
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {value!r}$"):
+            sample_uniform(C_TEST, **args)
+
 
 class TestPricedCsv:
     def test_round_trip(self, tmp_path):
         contracts = sample_uniform(C_TRAIN, 20, seed=11)
         prices = price_contracts(contracts, steps=50)
         path = tmp_path / "priced.csv"
-        write_priced_csv(path, contracts, prices, comments={"steps": 50})
+        write_priced_csv(path, contracts, prices)
         back_terms, back_prices = read_priced_csv(path)
         assert np.array_equal(back_terms, contract_terms(contracts))
         assert np.array_equal(back_prices, prices)

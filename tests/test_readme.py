@@ -8,6 +8,7 @@ import pytest
 
 import errortail
 from errortail.cli import build_parser
+from errortail.experiment import FIGURE_HEADER, desk_scale_config, load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +36,17 @@ def test_cli_example_parses(argv):
         build_parser().parse_args(argv)
     except SystemExit:
         pytest.fail(f"errortail {shlex.join(argv)} does not parse")
+
+
+def test_config_example_is_the_desk_configuration(tmp_path):
+    # the untagged block below the sentence that introduces --config
+    pattern = r"--config run\.txt` reads .*?^```\n(.*?)^```"
+    block = re.search(pattern, README.read_text(), re.M | re.S)
+    path = tmp_path / "run.txt"
+    path.write_text(block.group(1))
+    assert load_config(path) == desk_scale_config()
+
+
+def test_figure_header_is_the_written_one():
+    headers = re.findall(r"`figure1\.csv` - header `([^`]*)`", README.read_text())
+    assert headers == [FIGURE_HEADER]

@@ -5,9 +5,16 @@ import re
 import pytest
 
 from errortail.cli import _read_fit_file
-from errortail.experiment import FIGURE_HEADER, load_config, read_figure_csv
+from errortail.experiment import FIGURE_HEADER, load_config
 from errortail.pricing import PRICED_CSV_HEADER, read_priced_csv
 from errortail.tail import read_error_csv
+from errortail.textio import read_table
+
+
+def read_figure_csv(path):
+    """A figure CSV read as the tests read it: the table under ``FIGURE_HEADER``."""
+    return read_table(path, FIGURE_HEADER)
+
 
 # reader, header, one valid row
 TABLES = [
