@@ -28,6 +28,14 @@ nodes (:func:`contracts_per_chunk`). One level's five operands then take
 at most 2.6 MB, more than a core's 2 MiB L2 cache: the budget was chosen by
 measurement, and budgets of 32,768 and 131,072 nodes priced within noise
 of it.
+
+Contracts cross between Python objects and arrays without a Python object
+per row beyond the contract itself: :func:`sample_uniform` builds its
+contracts from the columns of one block of ``textio.BLOCK_ROWS`` draws at a
+time, :func:`contract_terms` reads a list of contracts with one
+``np.fromiter`` over their terms, :func:`price_contracts` gathers each chunk
+in sorted order only when it prices it, and :func:`write_priced_csv` formats
+one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -37,11 +45,12 @@ import numbers
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 from .rng import generator
-from .textio import read_table, write_table
+from .textio import BLOCK_ROWS, block_rows, read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
@@ -54,12 +63,17 @@ _POSITIVE = [0, 1, 4]  # K, T and vol
 def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
     """Contracts as an (n, 5) float array with columns K, T, r, q, vol.
 
-    ``contracts`` is anything numpy reads as rows of five terms, such as a
-    list of :class:`OptionContract` or an array. This is the one contract
-    rule: every term finite, and K, T and vol positive. An error names the
-    field and ``row_label`` of the first offending row.
+    ``contracts`` is an array of shape (n, 5), or a sequence of rows of five
+    terms such as a list of :class:`OptionContract`. A sequence is read row
+    by row into the array, with no Python object per row beyond its own
+    terms. This is the one contract rule: every row of five terms, every
+    term finite, and K, T and vol positive. An error names the field and
+    ``row_label`` of the first offending row.
     """
-    terms = np.asarray(contracts, dtype=float)
+    if isinstance(contracts, np.ndarray):
+        terms = np.asarray(contracts, dtype=float)
+    else:
+        terms = _rows_as_terms(contracts, row_label)
     if terms.ndim != 2 or terms.shape[1] != 5:
         raise ValueError(f"contracts must have shape (n, 5), got {terms.shape}")
     bad = ~np.isfinite(terms)
@@ -70,6 +84,19 @@ def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
         rule = "finite" if not math.isfinite(value) else "positive"
         raise ValueError(f"{row_label(row)}: {_FIELDS[col]} must be {rule}, got {value}")
     return terms
+
+
+def _rows_as_terms(rows, row_label) -> np.ndarray:
+    """A sequence of rows as one (n, 5) array, built by ``np.fromiter`` over
+    the terms; a row without five terms is named by ``row_label``."""
+    lengths = list(map(len, rows))
+    if lengths.count(5) != len(lengths):
+        row = next(i for i, size in enumerate(lengths) if size != 5)
+        raise ValueError(f"{row_label(row)}: expected 5 terms, got {lengths[row]}")
+    if not lengths:
+        return np.empty(0)  # rejected by the shape check
+    terms = np.fromiter(chain.from_iterable(rows), float, 5 * len(lengths))
+    return terms.reshape(len(lengths), 5)
 
 
 class OptionContract(namedtuple("OptionContract", _FIELDS)):
@@ -252,16 +279,21 @@ def price_contracts(
     # tight. Columns never mix, so the order does not change the bits.
     moneyness = np.log(params[:, 0]) / (params[:, 4] * np.sqrt(params[:, 1]))
     order = np.argsort(moneyness)
-    ordered = params[order]
     size = contracts_per_chunk(steps)
-    chunks = [ordered[i : i + size] for i in range(0, len(ordered), size)]
-    if workers is None or workers <= 1 or len(chunks) <= 1:
-        parts = [_crr_put_batch(chunk, steps) for chunk in chunks]
+    starts = range(0, len(params), size)
+    # each chunk is gathered when it is priced, and its prices put in place
+    chunks = (params[order[i : i + size]] for i in starts)
+    prices = np.empty(len(params))
+
+    def place(parts) -> None:
+        for i, part in zip(starts, parts):
+            prices[order[i : i + size]] = part
+
+    if workers is None or workers <= 1 or len(starts) <= 1:
+        place(map(_crr_put_batch, chunks, repeat(steps)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_crr_put_batch, chunks, [steps] * len(chunks)))
-    prices = np.empty(len(params))
-    prices[order] = np.concatenate(parts) if parts else np.empty(0)
+            place(pool.map(_crr_put_batch, chunks, repeat(steps)))
     return prices
 
 
@@ -287,28 +319,39 @@ def bs_european_put(contract: OptionContract) -> float:
 
 
 def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract]:
-    """``count`` uniform draws over the box, deterministic given the seed."""
+    """``count`` uniform draws over the box, deterministic given the seed.
+
+    The draws are scaled in place in one (count, 5) array, and the contracts
+    are built from its columns one block of ``BLOCK_ROWS`` rows at a time.
+    """
     count = check_integer("count", count, 1)
     seed = check_integer("seed", seed, None)
     lower = np.asarray(box.lower)
     upper = np.asarray(box.upper)
-    u = generator(seed).random((count, 5))
-    points = contract_terms(lower + (upper - lower) * u)
-    return list(map(OptionContract._make, points.tolist()))
+    points = generator(seed).random((count, 5))
+    points *= upper - lower
+    points += lower
+    contract_terms(points)
+    contracts = []
+    for start in range(0, count, BLOCK_ROWS):
+        columns = points[start : start + BLOCK_ROWS].T.tolist()
+        contracts.extend(map(OptionContract._make, zip(*columns)))
+    return contracts
 
 
 PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 
 def write_priced_csv(path, contracts, prices) -> None:
-    """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``."""
+    """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``,
+    formatting one block of ``BLOCK_ROWS`` rows at a time."""
     terms = contract_terms(contracts)
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (len(terms),):
         raise ValueError("contracts and prices must have equal length")
     rows = (
         f"{k!r},{t!r},{r!r},{q!r},{vol!r},{p!r}"
-        for (k, t, r, q, vol), p in zip(terms.tolist(), prices.tolist())
+        for (k, t, r, q, vol), p in zip(block_rows(terms), block_rows(prices))
     )
     write_table(path, PRICED_CSV_HEADER, rows)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .textio import read_table, write_table
+from .textio import block_rows, read_table, write_table
 
 LN2 = math.log(2.0)
 
@@ -265,7 +265,7 @@ def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> 
     Optional ``comments`` are embedded as leading ``# key=value`` lines so
     the file records how it was produced.
     """
-    write_table(path, "error", map(repr, sample.values.tolist()), comments)
+    write_table(path, "error", map(repr, block_rows(sample.values)), comments)
 
 
 def read_error_csv(path) -> ErrorSample:

@@ -3,14 +3,22 @@
 A table is optional ``# key=value`` comment lines recording how the file was
 produced, one header line, then one comma-separated row per line. Both
 readers skip blank lines and ``#`` comments and name the line of each error.
+
+Tables cross between Python objects and arrays one block of ``BLOCK_ROWS``
+rows at a time: the reader holds one block of lines as strings, and the
+writers (through :func:`block_rows`) one block of rows as Python floats. So
+a table's Python-object memory does not grow with its length; only its
+arrays do.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress, islice
 from typing import Iterable, Iterator
 
 import numpy as np
+
+BLOCK_ROWS = 8_192  # rows held as Python objects at once, reading or writing
 
 
 def _content(fh) -> Iterator[tuple[int, str]]:
@@ -18,6 +26,13 @@ def _content(fh) -> Iterator[tuple[int, str]]:
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def block_rows(array: np.ndarray) -> Iterator:
+    """The rows of ``array`` as ``tolist`` gives them, converted one block of
+    ``BLOCK_ROWS`` rows at a time."""
+    starts = range(0, len(array), BLOCK_ROWS)
+    return chain.from_iterable(array[i : i + BLOCK_ROWS].tolist() for i in starts)
 
 
 def write_table(
@@ -40,45 +55,58 @@ def _numeric(line: str) -> bool:
     return True
 
 
-def read_table(path, header: str) -> tuple[list[int], np.ndarray]:
+def _convert_block(path, linenos: np.ndarray, rows: list[str], commas: int) -> np.ndarray:
+    """The (rows, commas + 1) values of one block of rows at these line
+    numbers; an error names the first faulty row."""
+    # rows before the first with the wrong field count
+    end = next((i for i, row in enumerate(rows) if row.count(",") != commas), len(rows))
+    fields = chain.from_iterable(row.split(",") for row in rows[:end])
+    try:
+        values = np.fromiter(map(float, fields), float, count=end * (commas + 1))
+    except ValueError:
+        bad = next(i for i in range(end) if not _numeric(rows[i]))
+        raise ValueError(
+            f"{path}: line {linenos[bad]}: non-numeric field in {rows[bad]!r}"
+        ) from None
+    if end < len(rows):
+        raise ValueError(
+            f"{path}: line {linenos[end]}: expected {commas + 1} comma-separated values, "
+            f"got {rows[end].count(',') + 1}"
+        )
+    return values.reshape(end, commas + 1)
+
+
+def read_table(path, header: str) -> tuple[np.ndarray, np.ndarray]:
     """Line numbers and the (rows, columns) values of a table with this header.
 
     Rejects a missing or different header, a row with the wrong number of
     fields, a field that is not a decimal number, and a table without rows;
-    of several faulty rows, the first is named.
+    of several faulty rows, the first is named. Lines are converted one
+    block of ``BLOCK_ROWS`` at a time, and the line numbers come back as
+    one integer array.
     """
     commas = header.count(",")
+    linenos, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        content = _content(fh)
-        lineno, line = next(content, (0, None))
+        lineno, line = next(_content(fh), (0, None))
         if line is None:
             raise ValueError(f"{path}: missing {header!r} header")
         if line != header:
             raise ValueError(
                 f"{path}: line {lineno}: expected header {header!r}, got {line!r}"
             )
-        linenos, lines = [], []
-        for lineno, line in content:
-            linenos.append(lineno)
-            lines.append(line)
-    if not lines:
+        # _content read no further than the header, so the rows follow
+        while lines := [raw.strip() for raw in islice(fh, BLOCK_ROWS)]:
+            is_row = [text != "" and text[0] != "#" for text in lines]
+            rows = list(compress(lines, is_row))
+            if rows:
+                numbers = lineno + 1 + np.flatnonzero(is_row)
+                values.append(_convert_block(path, numbers, rows, commas))
+                linenos.append(numbers)
+            lineno += len(lines)
+    if not values:
         raise ValueError(f"{path}: no rows below the {header!r} header")
-    # rows before the first with the wrong field count
-    end = next((i for i, line in enumerate(lines) if line.count(",") != commas), len(lines))
-    fields = chain.from_iterable(line.split(",") for line in lines[:end])
-    try:
-        values = np.fromiter(map(float, fields), float, count=end * (commas + 1))
-    except ValueError:
-        bad = next(i for i in range(end) if not _numeric(lines[i]))
-        raise ValueError(
-            f"{path}: line {linenos[bad]}: non-numeric field in {lines[bad]!r}"
-        ) from None
-    if end < len(lines):
-        raise ValueError(
-            f"{path}: line {linenos[end]}: expected {commas + 1} comma-separated values, "
-            f"got {lines[end].count(',') + 1}"
-        )
-    return linenos, values.reshape(end, commas + 1)
+    return np.concatenate(linenos), np.concatenate(values)
 
 
 def read_key_values(path) -> dict[str, str]:

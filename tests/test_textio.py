@@ -8,7 +8,7 @@ from errortail.cli import _read_fit_file
 from errortail.experiment import FIGURE_HEADER, load_config
 from errortail.pricing import PRICED_CSV_HEADER, read_priced_csv
 from errortail.tail import read_error_csv
-from errortail.textio import read_table
+from errortail.textio import BLOCK_ROWS, read_table
 
 
 def read_figure_csv(path):
@@ -57,6 +57,18 @@ def _cases():
         yield pytest.param(
             reader, f"{header}\n{row},7\n{bad_row}\n", "line 2: expected",
             id=f"{name}-extra-column-above-non-numeric",
+        )
+        # the same two faults in blocks 2 and 3 of BLOCK_ROWS rows
+        block = f"{row}\n" * BLOCK_ROWS
+        yield pytest.param(
+            reader, f"{header}\n{block}{row}\n{bad_row}\n{block}{row},7\n",
+            f"line {BLOCK_ROWS + 3}: non-numeric",
+            id=f"{name}-non-numeric-in-block-2-above-extra-column-in-block-3",
+        )
+        yield pytest.param(
+            reader, f"{header}\n{block}{row},7\n{block}{bad_row}\n",
+            f"line {BLOCK_ROWS + 2}: expected",
+            id=f"{name}-extra-column-in-block-2-above-non-numeric-in-block-3",
         )
     for reader, body in KEY_VALUE_FILES:
         name = reader.__name__
