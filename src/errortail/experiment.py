@@ -18,16 +18,16 @@ timestamps, which makes reruns byte-identical.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .mlp import TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
-from .pricing import (
-    C_TEST, C_TRAIN, check_integer, contract_terms, price_contracts, sample_uniform,
+from .mlp import (
+    TrainConfig, TrainingReport, check_fields, check_widths, error_sample, split_sizes, train,
 )
+from .pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
 from .rng import stage_seed
 from .tail import (
     DegenerateSampleError,
@@ -48,35 +48,24 @@ FIGURE_HEADER = "x,evt_mean,evt_lo,evt_hi,empirical,markov_m2,markov_m4"
 FIGURE_POINTS = 40
 
 
-# integer fields and their least values; a seed may be any integer
-_INTEGER_FIELDS = (
-    ("train_samples", 1),
-    ("test_sets", 1),
-    ("test_set_size", 1),
-    ("k", 2),
-    ("tree_steps", 1),
-    ("master_seed", None),
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings of one experiment run."""
+    """Resolved settings of one experiment run. Each count and the seed
+    declares its rule (see :func:`~errortail.mlp.check_fields`)."""
 
-    train_samples: int = 20_000
-    test_sets: int = 20
-    test_set_size: int = 20_000
-    k: int = cent_threshold_k(20_000)
-    tree_steps: int = 500
+    train_samples: int = field(default=20_000, metadata={"minimum": 1})
+    test_sets: int = field(default=20, metadata={"minimum": 1})
+    test_set_size: int = field(default=20_000, metadata={"minimum": 1})
+    k: int = field(default=cent_threshold_k(20_000), metadata={"minimum": 2})
+    tree_steps: int = field(default=500, metadata={"minimum": 1})
     widths: tuple[int, ...] = (5, 64, 64, 64, 1)
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    master_seed: int = 0
+    master_seed: int = field(default=0, metadata={"minimum": None})
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
         """Reject settings the run would fail on, before any pricing."""
-        for name, minimum in _INTEGER_FIELDS:
-            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        check_fields(self)
         if 2 * self.k > self.test_set_size:
             raise ValueError(
                 f"need 2k <= test_set_size, got k={self.k}, "
@@ -91,25 +80,19 @@ def parse_widths(text: str) -> tuple[int, ...]:
     return tuple(int(w) for w in text.split(","))
 
 
-# The configuration file's fields in file order: key, the dataclass holding
-# the field, and the parser of its text.
-_CONFIG_FIELDS = (
-    ("train_samples", ExperimentConfig, int),
-    ("test_sets", ExperimentConfig, int),
-    ("test_set_size", ExperimentConfig, int),
-    ("k", ExperimentConfig, int),
-    ("tree_steps", ExperimentConfig, int),
-    ("widths", ExperimentConfig, parse_widths),
-    ("epochs", TrainConfig, int),
-    ("batch_size", TrainConfig, int),
-    ("validation_fraction", TrainConfig, float),
-    ("learning_rate", TrainConfig, float),
-    ("adam_beta1", TrainConfig, float),
-    ("adam_beta2", TrainConfig, float),
-    ("adam_epsilon", TrainConfig, float),
-    ("master_seed", ExperimentConfig, int),
-    ("output_dir", ExperimentConfig, str),
-)
+# the parser of a configuration file value, by the annotation of its field
+_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": parse_widths}
+
+
+def _file_fields():
+    """(field, owning dataclass) per config file key, in file order: the
+    fields of :class:`ExperimentConfig` with those of ``train_config`` in its
+    place, minus the training seed, which derives from ``master_seed``."""
+    for f in fields(ExperimentConfig):
+        if f.name != "train_config":
+            yield f, ExperimentConfig
+        else:
+            yield from ((t, TrainConfig) for t in fields(TrainConfig) if t.name != "seed")
 
 
 def desk_scale_config(**overrides) -> ExperimentConfig:
@@ -321,10 +304,10 @@ def _config_comments(report: ExperimentReport) -> dict:
     ``output_dir`` and with the resolved training seed."""
     config = report.config
     comments = {"config_version": CONFIG_VERSION}
-    for key, owner, _ in _CONFIG_FIELDS:
-        if key != "output_dir":
-            value = getattr(config.train_config if owner is TrainConfig else config, key)
-            comments[key] = ",".join(map(str, value)) if key == "widths" else str(value)
+    for f, owner in _file_fields():
+        if f.name != "output_dir":
+            value = getattr(config.train_config if owner is TrainConfig else config, f.name)
+            comments[f.name] = ",".join(map(str, value)) if f.name == "widths" else str(value)
     comments["train_seed"] = report.resolved_train_seed
     return comments
 
@@ -390,8 +373,10 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Load a flat key/value config file over a base configuration.
 
     Lines look like ``key = value``; blank lines and ``#`` comments are
-    ignored. ``config_version`` must be present and understood. Keys missing
-    from the file keep the base values; unknown keys are rejected by name.
+    ignored. ``config_version`` must be present and understood. Each key is
+    a field (see :func:`_file_fields`), parsed by its annotated type. Keys
+    missing from the file keep the base values; unknown keys are rejected by
+    name.
     """
     base = base if base is not None else ExperimentConfig()
     raw = read_key_values(path)
@@ -399,12 +384,12 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         raise ValueError(f"{path}: missing required key 'config_version'")
     if raw.pop("config_version") != str(CONFIG_VERSION):
         raise ValueError(f"{path}: unsupported config_version (expected {CONFIG_VERSION})")
-    fields = {key: (owner, parse) for key, owner, parse in _CONFIG_FIELDS}
+    keys = {f.name: (owner, _PARSERS[f.type]) for f, owner in _file_fields()}
     changes: dict = {ExperimentConfig: {}, TrainConfig: {}}
     for key, value in raw.items():
-        if key not in fields:
+        if key not in keys:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        owner, parse = fields[key]
+        owner, parse = keys[key]
         try:
             changes[owner][key] = parse(value)
         except ValueError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import generator
+from .rng import check_integer, generator
 
 GAMMA_ZERO_TOL = 1e-12
 
@@ -84,7 +84,5 @@ def gpd_quantile(params: GpdParams, p):
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
     """``count`` inverse-transform draws, deterministic given the seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    u = generator(seed).random(count)
-    return gpd_quantile(params, u)
+    count = check_integer("count", count, 1)
+    return gpd_quantile(params, generator(seed).random(count))

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .pricing import C_TRAIN, DomainBox, check_integer, contract_terms
-from .rng import generator, stage_seed
+from .pricing import C_TRAIN, DomainBox, contract_terms
+from .rng import check_integer, generator, stage_seed
 from .tail import ErrorSample
 
 MODEL_FORMAT_VERSION = 1
@@ -44,35 +44,35 @@ DEFAULT_TARGET_SCALE = 100.0
 EVAL_BLOCK_ROWS = 512
 
 
+def check_fields(config) -> None:
+    """Apply the rule that each field of a config dataclass declares in its
+    metadata. A ``minimum`` field is stored as the int :func:`check_integer`
+    returns (a seed's minimum is None); an ``upper`` field must lie strictly
+    between 0 and its upper bound, so NaN and inf are rejected."""
+    for f in fields(config):
+        value, rule = getattr(config, f.name), f.metadata
+        if "minimum" in rule:
+            object.__setattr__(config, f.name, check_integer(f.name, value, rule["minimum"]))
+        elif "upper" in rule and not 0.0 < value < rule["upper"]:
+            raise ValueError(f"{f.name} must be in (0, {rule['upper']}), got {value}")
+
+
 @dataclass
 class TrainConfig:
-    """Optimizer and schedule settings for :func:`train`."""
+    """Optimizer and schedule settings for :func:`train`. Each field
+    declares its rule, and :func:`check_fields` applies the rules."""
 
-    epochs: int = 20
-    batch_size: int = 100
-    validation_fraction: float = 0.2
-    learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
+    epochs: int = field(default=20, metadata={"minimum": 1})
+    batch_size: int = field(default=100, metadata={"minimum": 1})
+    validation_fraction: float = field(default=0.2, metadata={"upper": 1})
+    learning_rate: float = field(default=1e-3, metadata={"upper": math.inf})
+    adam_beta1: float = field(default=0.9, metadata={"upper": 1})
+    adam_beta2: float = field(default=0.999, metadata={"upper": 1})
+    adam_epsilon: float = field(default=1e-8, metadata={"upper": math.inf})
+    seed: int = field(default=0, metadata={"minimum": None})
 
     def __post_init__(self) -> None:
-        self.epochs = check_integer("epochs", self.epochs, 1)
-        self.batch_size = check_integer("batch_size", self.batch_size, 1)
-        self.seed = check_integer("seed", self.seed, None)
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError(
-                f"validation_fraction must be in (0, 1), got {self.validation_fraction}"
-            )
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 < self.adam_beta1 < 1.0:
-            raise ValueError(f"adam_beta1 must be in (0, 1), got {self.adam_beta1}")
-        if not 0.0 < self.adam_beta2 < 1.0:
-            raise ValueError(f"adam_beta2 must be in (0, 1), got {self.adam_beta2}")
-        if self.adam_epsilon <= 0.0:
-            raise ValueError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
+        check_fields(self)
 
 
 @dataclass
@@ -232,12 +232,15 @@ def scale_targets(model: MlpModel, targets_usd: np.ndarray) -> np.ndarray:
 
 
 def _labeled(x, prices) -> tuple[np.ndarray, np.ndarray]:
-    """Contract terms (see :func:`contract_terms`) and their oracle prices in
-    USD as arrays of equal length."""
+    """Contract terms (see :func:`contract_terms`) and their finite oracle
+    prices in USD (a negative target is valid) as arrays of equal length."""
     x = contract_terms(x)
     prices = np.asarray(prices, dtype=float)
     if prices.shape != (len(x),):
         raise ValueError("contracts and prices must have equal length")
+    bad = np.flatnonzero(~np.isfinite(prices))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: price must be finite, got {float(prices[bad[0]])}")
     return x, prices
 
 
@@ -394,7 +397,7 @@ def load_model(path) -> MlpModel:
         if doc.get(key) != fixed:
             raise ValueError(f"{path}: unsupported {key} {doc.get(key)!r}")
 
-    def field(key, convert):
+    def doc_field(key, convert):
         if key not in doc:
             raise ValueError(f"{path}: missing field {key!r}")
         try:
@@ -404,15 +407,15 @@ def load_model(path) -> MlpModel:
         except (ValueError, TypeError, OverflowError) as exc:
             raise ValueError(f"{path}: field {key!r}: {exc}") from None
 
-    widths = field(
+    widths = doc_field(
         "layer_widths", lambda widths: tuple(check_integer("a width", w, 1) for w in widths)
     )
-    layers = field("layers", lambda layers: [
+    layers = doc_field("layers", lambda layers: [
         _layer_arrays(index, layer) for index, layer in enumerate(layers)
     ])
-    lower = field("input_lower", _vector)
-    upper = field("input_upper", _vector)
-    target_scale = field("target_scale", _number)
+    lower = doc_field("input_lower", _vector)
+    upper = doc_field("input_upper", _vector)
+    target_scale = doc_field("target_scale", _number)
     try:
         return MlpModel(
             widths, [w for w, _ in layers], [b for _, b in layers], lower, upper, target_scale

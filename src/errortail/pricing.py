@@ -41,7 +41,6 @@ one block of rows at a time.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .rng import generator
+from .rng import check_integer, generator
 from .textio import BLOCK_ROWS, block_rows, read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
@@ -150,17 +149,6 @@ def contracts_per_chunk(steps: int) -> int:
     """Contracts per kernel call at ``steps``: as many as fit ``CHUNK_NODES``
     terminal nodes, and at least one."""
     return max(1, CHUNK_NODES // (steps + 1))
-
-
-def check_integer(name: str, value, minimum: int | None) -> int:
-    """The one rule for counts and seeds: ``value`` as an int, if it is an
-    integer (a bool is not taken for 0 or 1, nor 2.0 for 2) and at least
-    ``minimum`` unless that is None. An error names ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
 
 
 def _tree_coefficients(params: np.ndarray, steps: int):
@@ -269,9 +257,11 @@ def price_contracts(
     Every contract is checked for a no-arbitrage tree before any is priced;
     an error names the caller's row. Pricing is pure, so the work may be
     farmed across processes in chunks of :func:`contracts_per_chunk`
-    contracts; ``workers`` does not affect the returned bits.
+    contracts. ``workers`` is None (serial) or an integer >= 1, and a pool
+    has at most one process per chunk; it does not affect the returned bits.
     """
     steps = check_integer("steps", steps, 1)
+    workers = 1 if workers is None else check_integer("workers", workers, 1)
     params = contract_terms(contracts)
     _check_no_arbitrage(params, steps)
     # Sorting by moneyness log K / (vol sqrt(T)) orders contracts by their
@@ -289,10 +279,12 @@ def price_contracts(
         for i, part in zip(starts, parts):
             prices[order[i : i + size]] = part
 
-    if workers is None or workers <= 1 or len(starts) <= 1:
+    # a pool forks all max_workers processes at its first task: one per chunk at most
+    processes = min(workers, len(starts))
+    if processes <= 1:
         place(map(_crr_put_batch, chunks, repeat(steps)))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             place(pool.map(_crr_put_batch, chunks, repeat(steps)))
     return prices
 
@@ -325,7 +317,6 @@ def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract
     are built from its columns one block of ``BLOCK_ROWS`` rows at a time.
     """
     count = check_integer("count", count, 1)
-    seed = check_integer("seed", seed, None)
     lower = np.asarray(box.lower)
     upper = np.asarray(box.upper)
     points = generator(seed).random((count, 5))
@@ -342,11 +333,26 @@ def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract
 PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 
+def check_prices(prices, row_label=lambda row: f"row {row}") -> np.ndarray:
+    """Prices as a float array: the price rule of the priced CSV, every
+    price finite and nonnegative. An error names ``row_label`` of the first
+    offending row."""
+    prices = np.asarray(prices, dtype=float)
+    bad = np.flatnonzero(~((prices >= 0.0) & (prices < math.inf)))
+    if bad.size:
+        raise ValueError(
+            f"{row_label(bad[0])}: price must be finite and nonnegative, "
+            f"got {float(prices[bad[0]])}"
+        )
+    return prices
+
+
 def write_priced_csv(path, contracts, prices) -> None:
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``,
-    formatting one block of ``BLOCK_ROWS`` rows at a time."""
+    formatting one block of ``BLOCK_ROWS`` rows at a time; the prices pass
+    :func:`check_prices`, the rule :func:`read_priced_csv` reads them with."""
     terms = contract_terms(contracts)
-    prices = np.asarray(prices, dtype=float)
+    prices = check_prices(prices)
     if prices.shape != (len(terms),):
         raise ValueError("contracts and prices must have equal length")
     rows = (
@@ -361,12 +367,5 @@ def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
     a row that breaks the contract rule or has a non-finite or negative price
     is named by its line."""
     linenos, table = read_table(path, PRICED_CSV_HEADER)
-    terms = contract_terms(table[:, :5], lambda row: f"{path}: line {linenos[row]}")
-    prices = table[:, 5]
-    bad = np.flatnonzero(~((prices >= 0.0) & (prices < math.inf)))
-    if bad.size:
-        raise ValueError(
-            f"{path}: line {linenos[bad[0]]}: price must be finite and nonnegative, "
-            f"got {float(prices[bad[0]])}"
-        )
-    return terms, prices
+    line = lambda row: f"{path}: line {linenos[row]}"
+    return contract_terms(table[:, :5], line), check_prices(table[:, 5], line)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rng import check_integer
 from .textio import block_rows, read_table, write_table
 
 LN2 = math.log(2.0)
@@ -135,9 +136,7 @@ def exceeds_max_probability(n: int) -> float:
     Equals 1/(n+1) for any continuous error distribution, by exchangeability
     of the n+1 draws.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return 1.0 / (n + 1)
+    return 1.0 / (check_integer("n", n, 1) + 1)
 
 
 def markov_bound(sample: ErrorSample, m: float, x: float) -> float:
@@ -166,10 +165,11 @@ def endpoint_estimate(sample: ErrorSample, k: int) -> float:
 
     Requires 2k <= n: the deepest order statistic touched is e_(N-2k+1).
     """
+    k = check_integer("k", k, 1)
     v = sample.values
     n = v.size
-    if k < 1 or 2 * k > n:
-        raise ValueError(f"need 1 <= k and 2k <= n, got k={k}, n={n}")
+    if 2 * k > n:
+        raise ValueError(f"need 2k <= n, got k={k}, n={n}")
     w = _endpoint_weights(k)
     # e_(N-k-i) for i = 0..k-1, i.e. positions n-1-k down to n-2k.
     lower = v[n - 2 * k : n - k][::-1]
@@ -184,10 +184,11 @@ def shape_estimate_known_endpoint(sample: ErrorSample, k: int, xstar: float) -> 
     u = e_(N-k). Never positive; returns 0 only in the degenerate case
     where the top k values all equal the threshold.
     """
+    k = check_integer("k", k, 1)
     v = sample.values
     n = v.size
-    if not 1 <= k < n:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if not k < n:
+        raise ValueError(f"need k < n, got k={k}, n={n}")
     if not xstar > v[-1]:
         raise ValueError(
             f"xstar ({float(xstar)!r}) must strictly exceed the sample maximum "
@@ -207,8 +208,7 @@ def tail_fit(sample: ErrorSample, k: int) -> TailFit:
     the data instead would silently corrupt the estimates. Requires k >= 2:
     at k = 1 the endpoint estimate is always the sample maximum.
     """
-    if k < 2:
-        raise ValueError(f"a tail fit needs k >= 2, got k={k}")
+    k = check_integer("k", k, 2)
     v = sample.values
     n = v.size
     xstar = endpoint_estimate(sample, k)
@@ -254,9 +254,7 @@ def mean_excess(fit: TailFit) -> float:
 
 def cent_threshold_k(n: int) -> int:
     """Default k giving an empirical exceedance rate k/n of 0.27%."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return round(0.0027 * n)
+    return round(0.0027 * check_integer("n", n, 1))
 
 
 def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> None:

@@ -330,6 +330,7 @@ def test_criterion_09_gradient_against_finite_differences():
     _verdict(9, f"max relative gradient error {worst:.2e} over 20 models", ok, t0)
 
 
+@pytest.mark.desk
 def test_criterion_10_scaled_experiment_band(desk_run):
     t0 = time.perf_counter()
     config, report = desk_run
@@ -361,6 +362,7 @@ def test_criterion_10_scaled_experiment_band(desk_run):
     )
 
 
+@pytest.mark.desk
 def test_criterion_11_determinism_of_scaled_run(desk_run):
     t0 = time.perf_counter()
     config, _ = desk_run

@@ -255,6 +255,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="config.txt: epochs"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["learning_rate", "adam_epsilon"])
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_config_file_rejects_nan_and_inf_reals(self, tmp_path, key, text):
+        # rejected at load, before any pricing: a NaN learning rate trains an
+        # all-NaN model
+        path = tmp_path / "nan.txt"
+        path.write_text(f"config_version = 1\n{key} = {text}\n")
+        message = re.escape(f"{path}: {key} must be in (0, inf), got {text}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_config(path)
+
     def test_config_file_requires_version(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("k = 3\n")
@@ -438,6 +449,15 @@ class TestFigure:
         assert lines[0] == FIGURE_HEADER
         _, table = read_table(path, FIGURE_HEADER)
         assert table.shape == (40, 7)
+
+    def test_config_comments_keep_the_file_order(self, tiny_run):
+        # the keys derive from the config dataclasses' fields; files keep this order
+        _, report = tiny_run
+        assert list(_config_comments(report)) == [
+            "config_version", "train_samples", "test_sets", "test_set_size", "k", "tree_steps",
+            "widths", "epochs", "batch_size", "validation_fraction", "learning_rate",
+            "adam_beta1", "adam_beta2", "adam_epsilon", "master_seed", "train_seed",
+        ]
 
     def test_figure_embeds_configuration(self, tiny_run):
         config, _ = tiny_run

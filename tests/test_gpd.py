@@ -130,3 +130,15 @@ class TestSample:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError, match="count"):
             gpd_sample(GpdParams(-0.5, 1.0), 0, seed=1)
+
+    @pytest.mark.parametrize(
+        "count, seed, message",
+        [
+            # a bool seed is not taken for seed 1
+            pytest.param(3, True, "seed must be an integer, got True", id="bool-seed"),
+            pytest.param(2.0, 0, "count must be an integer, got 2.0", id="float-count"),
+        ],
+    )
+    def test_integer_rule_rejects_by_name(self, count, seed, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            gpd_sample(GpdParams(-0.5, 1.0), count, seed)

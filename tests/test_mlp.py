@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import re
 import tracemalloc
 from collections import namedtuple
@@ -389,6 +390,41 @@ def test_train_matches_the_frozen_functional_step_bitwise():
     oracle = frozen_train(x, y, [5, 8, 8, 1], config, UNIT_BOX)
     for got, want in zip(model.parameters(), oracle.parameters(), strict=True):
         assert np.array_equal(got, want)
+
+
+# inputs rejected by name before any work: a NaN or inf real, and a
+# non-finite price (a NaN one would train an all-NaN model)
+def _toy_with_price(row, price):
+    x, y = toy_set(60, seed=9)
+    y[row] = price
+    return x, y
+
+
+NEWLY_REJECTED = [
+    *(
+        pytest.param(
+            lambda name=name, value=value: TrainConfig(**{name: value}),
+            f"{name} must be in (0, inf), got {value}", id=f"{name}-{value}",
+        )
+        for name in ("learning_rate", "adam_epsilon")
+        for value in (math.nan, math.inf)
+    ),
+    pytest.param(
+        lambda: train(*_toy_with_price(3, math.nan), [5, 4, 1], TrainConfig(batch_size=10),
+                      input_box=UNIT_BOX),
+        "row 3: price must be finite, got nan", id="train-nan-price",
+    ),
+    pytest.param(
+        lambda: error_sample(init_model([5, 4, 1], 0, UNIT_BOX), *_toy_with_price(7, math.inf)),
+        "row 7: price must be finite, got inf", id="errors-inf-price",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", NEWLY_REJECTED)
+def test_rejected_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestTrainConfigValidation:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -266,6 +267,31 @@ class TestTreePricer:
             with pytest.raises(error, match="steps"):
                 price_contracts([contract], steps=steps)
 
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch):
+        # a fake pool records its size; a real one forks every process at once
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pricing, "CHUNK_NODES", 3 * 21)  # 3 contracts at 20 steps
+        terms = contract_terms(random_contracts(C_TEST, 7, seed=13))  # 3 chunks
+        serial = price_contracts(terms, 20)
+        for workers in (8, 2, 1):
+            assert np.array_equal(price_contracts(terms, 20, workers=workers), serial)
+        assert sizes == [3, 2]
+
     @pytest.mark.parametrize("steps", [1, 2, 20, 500, 1000, 65_535, 10**6])
     def test_chunk_rule_fits_the_node_budget(self, steps):
         chunk = contracts_per_chunk(steps)
@@ -360,3 +386,47 @@ class TestPricedCsv:
         )
         with pytest.raises(ValueError, match="line 7: volatility must be positive"):
             read_priced_csv(path)
+
+
+def _price_two_chunks(workers):
+    terms = np.tile(VALID_TERMS, (2 * contracts_per_chunk(1000), 1))
+    return price_contracts(terms, 1000, workers=workers)
+
+
+# inputs rejected before any contract is priced or any row written: a
+# workers value that is not an integer >= 1, and a price the reader rejects
+REJECTED_BEFORE_WORK = [
+    pytest.param(
+        lambda path: _price_two_chunks(0), ValueError, "workers must be >= 1, got 0",
+        id="workers-zero",
+    ),
+    pytest.param(
+        lambda path: _price_two_chunks(True), TypeError, "workers must be an integer, got True",
+        id="workers-bool",
+    ),
+    pytest.param(
+        lambda path: _price_two_chunks(2.5), TypeError, "workers must be an integer, got 2.5",
+        id="workers-float",
+    ),
+    pytest.param(
+        lambda path: write_priced_csv(path, [VALID_TERMS] * 2, [1.0, math.nan]), ValueError,
+        "row 1: price must be finite and nonnegative, got nan", id="write-nan-price",
+    ),
+    pytest.param(
+        lambda path: write_priced_csv(path, [VALID_TERMS] * 2, [math.inf, 1.0]), ValueError,
+        "row 0: price must be finite and nonnegative, got inf", id="write-inf-price",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REJECTED_BEFORE_WORK)
+def test_rejected_before_any_work(call, error, message, monkeypatch, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the check")
+
+    monkeypatch.setattr(pricing, "ProcessPoolExecutor", fail)
+    monkeypatch.setattr(pricing, "_crr_put_batch", fail)
+    path = tmp_path / "priced.csv"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(path)
+    assert not path.exists()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ class TestTailFit:
 
     def test_k_one_rejected_by_name(self):
         # at k = 1 the endpoint estimate is always the maximum, ties or not
-        with pytest.raises(ValueError, match="k >= 2, got k=1") as info:
+        with pytest.raises(ValueError, match="^k must be >= 2, got 1$") as info:
             tail_fit(ErrorSample([1.0, 2.0, 3.0, 5.0]), 1)
         assert not isinstance(info.value, DegenerateSampleError)
         assert endpoint_estimate(ErrorSample([1.0, 2.0, 3.0, 5.0]), 1) == 5.0
@@ -417,3 +418,26 @@ class TestKRules:
     def test_cent_threshold_rule(self):
         assert cent_threshold_k(100_000) == 270
         assert cent_threshold_k(20_000) == 54
+
+
+# counts and k that the tail functions reject by name: a float or a bool is
+# not taken for an integer
+SIX = ErrorSample([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+INTEGER_BREAKS = [
+    pytest.param(cent_threshold_k, (2.5,), "n must be an integer, got 2.5", id="cent-float"),
+    pytest.param(cent_threshold_k, (True,), "n must be an integer, got True", id="cent-bool"),
+    pytest.param(exceeds_max_probability, (2.5,), "n must be an integer, got 2.5", id="max-float"),
+    pytest.param(exceeds_max_probability, (True,), "n must be an integer, got True", id="max-bool"),
+    pytest.param(tail_fit, (SIX, 2.0), "k must be an integer, got 2.0", id="tail_fit"),
+    pytest.param(endpoint_estimate, (SIX, 2.0), "k must be an integer, got 2.0", id="endpoint"),
+    pytest.param(
+        shape_estimate_known_endpoint, (SIX, 2.0, 7.0), "k must be an integer, got 2.0",
+        id="shape",
+    ),
+]
+
+
+@pytest.mark.parametrize("function, args, message", INTEGER_BREAKS)
+def test_integer_rule_rejects_by_name(function, args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        function(*args)
