@@ -71,7 +71,7 @@ class ExperimentConfig:
                 f"need 2k <= test_set_size, got k={self.k}, "
                 f"test_set_size={self.test_set_size}"
             )
-        check_widths(self.widths, len(C_TRAIN.lower))
+        object.__setattr__(self, "widths", check_widths(self.widths, len(C_TRAIN.lower)))
         split_sizes(self.train_samples, self.train_config)
 
 
@@ -114,24 +114,44 @@ def paper_scale_config() -> ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    """Everything a run produced, ready for persistence and inspection."""
+    """Everything a run produced, ready for persistence and inspection. The
+    aggregates across the fitted sets are derived on construction."""
 
     config: ExperimentConfig
     resolved_train_seed: int
     fits: list[TailFit | None]
     failures: list[tuple[int, str]]
-    u_ref: float
-    exceed_at_u_ref: list[float]
-    mean_excesses: list[float]
-    exceed_mean: float
-    exceed_std: float
-    mean_excess_mean: float
-    mean_excess_std: float
-    pooled_exceed_at_u_ref: float
-    pooled_mean_excess_at_u_ref: float
     pooled: ErrorSample
     per_set_errors: list[ErrorSample]
     training: TrainingReport
+    u_ref: float = field(init=False)
+    exceed_at_u_ref: list[float] = field(init=False)
+    mean_excesses: list[float] = field(init=False)
+    exceed_mean: float = field(init=False)
+    exceed_std: float = field(init=False)
+    mean_excess_mean: float = field(init=False)
+    mean_excess_std: float = field(init=False)
+    pooled_exceed_at_u_ref: float = field(init=False)
+    pooled_mean_excess_at_u_ref: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        good = [(f, e) for f, e in zip(self.fits, self.per_set_errors) if f is not None]
+        if not good:
+            raise DegenerateSampleError("every test set produced a degenerate tail fit")
+        self.u_ref = u_ref = float(np.median([f.u for f, _ in good]))
+        self.exceed_at_u_ref = exceed = [
+            float(_set_exceedance_estimate(f, e, u_ref)) for f, e in good
+        ]
+        self.mean_excesses = excesses = [mean_excess(f) for f, _ in good]
+        pooled_above = self.pooled.values[self.pooled.values > u_ref]
+        self.pooled_mean_excess_at_u_ref = (
+            float(np.mean(pooled_above - u_ref)) if pooled_above.size else 0.0
+        )
+        self.exceed_mean = float(np.mean(exceed))
+        self.exceed_std = _sample_std(exceed)
+        self.mean_excess_mean = float(np.mean(excesses))
+        self.mean_excess_std = _sample_std(excesses)
+        self.pooled_exceed_at_u_ref = pooled_empirical_sf(self.pooled, u_ref)
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
@@ -205,7 +225,7 @@ def run_experiment(
             failures.append((i, str(exc)))
 
     pooled = ErrorSample(np.concatenate([e.values for e in per_set_errors]))
-    report = _aggregate(
+    report = ExperimentReport(
         config, train_seed, fits, failures, pooled, per_set_errors, training_report
     )
 
@@ -215,43 +235,6 @@ def run_experiment(
         out_dir / "pooled_errors.csv", pooled, comments=_config_comments(report)
     )
     return report
-
-
-def _aggregate(
-    config: ExperimentConfig,
-    train_seed: int,
-    fits: list[TailFit | None],
-    failures: list[tuple[int, str]],
-    pooled: ErrorSample,
-    per_set_errors: list[ErrorSample],
-    training_report: TrainingReport,
-) -> ExperimentReport:
-    good = [(f, e) for f, e in zip(fits, per_set_errors) if f is not None]
-    if not good:
-        raise DegenerateSampleError("every test set produced a degenerate tail fit")
-    u_ref = float(np.median([f.u for f, _ in good]))
-    exceed = [float(_set_exceedance_estimate(f, e, u_ref)) for f, e in good]
-    excesses = [mean_excess(f) for f, _ in good]
-    pooled_above = pooled.values[pooled.values > u_ref]
-    pooled_me = float(np.mean(pooled_above - u_ref)) if pooled_above.size else 0.0
-    return ExperimentReport(
-        config=config,
-        resolved_train_seed=train_seed,
-        fits=fits,
-        failures=failures,
-        u_ref=u_ref,
-        exceed_at_u_ref=exceed,
-        mean_excesses=excesses,
-        exceed_mean=float(np.mean(exceed)),
-        exceed_std=_sample_std(exceed),
-        mean_excess_mean=float(np.mean(excesses)),
-        mean_excess_std=_sample_std(excesses),
-        pooled_exceed_at_u_ref=pooled_empirical_sf(pooled, u_ref),
-        pooled_mean_excess_at_u_ref=pooled_me,
-        pooled=pooled,
-        per_set_errors=per_set_errors,
-        training=training_report,
-    )
 
 
 def _figure_table(report: ExperimentReport) -> np.ndarray:

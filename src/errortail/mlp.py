@@ -47,17 +47,18 @@ EVAL_BLOCK_ROWS = 512
 def check_fields(config) -> None:
     """Apply the rule that each field of a config dataclass declares in its
     metadata. A ``minimum`` field is stored as the int :func:`check_integer`
-    returns (a seed's minimum is None); an ``upper`` field must lie strictly
-    between 0 and its upper bound, so NaN and inf are rejected."""
+    returns (a seed's minimum is None); an ``upper`` field must be a real,
+    not a bool, strictly between 0 and its upper bound, so NaN and inf are
+    rejected."""
     for f in fields(config):
         value, rule = getattr(config, f.name), f.metadata
         if "minimum" in rule:
             object.__setattr__(config, f.name, check_integer(f.name, value, rule["minimum"]))
-        elif "upper" in rule and not 0.0 < value < rule["upper"]:
+        elif "upper" in rule and (isinstance(value, bool) or not 0.0 < value < rule["upper"]):
             raise ValueError(f"{f.name} must be in (0, {rule['upper']}), got {value}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Optimizer and schedule settings for :func:`train`. Each field
     declares its rule, and :func:`check_fields` applies the rules."""

@@ -49,7 +49,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .rng import check_integer, generator
-from .textio import BLOCK_ROWS, block_rows, read_table, write_table
+from .textio import BLOCK_ROWS, block_rows, line_of, read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
@@ -366,6 +366,6 @@ def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a ``K,T,r,q,sigma,price`` CSV back into (n, 5) terms and n prices;
     a row that breaks the contract rule or has a non-finite or negative price
     is named by its line."""
-    linenos, table = read_table(path, PRICED_CSV_HEADER)
-    line = lambda row: f"{path}: line {linenos[row]}"
+    table = read_table(path, PRICED_CSV_HEADER)
+    line = lambda row: f"{path}: line {line_of(path, row)}"
     return contract_terms(table[:, :5], line), check_prices(table[:, 5], line)

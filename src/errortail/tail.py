@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import check_integer
-from .textio import block_rows, read_table, write_table
+from .textio import block_rows, line_of, read_table, write_table
 
 LN2 = math.log(2.0)
 
@@ -111,7 +111,9 @@ class TailFit:
     sigma_u: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k < self.n:
+        object.__setattr__(self, "n", check_integer("n", self.n, 2))
+        object.__setattr__(self, "k", check_integer("k", self.k, 1))
+        if not self.k < self.n:
             raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
         for name in ("u", "xstar_hat", "gamma_hat"):
             if not math.isfinite(getattr(self, name)):
@@ -268,12 +270,11 @@ def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> 
 
 def read_error_csv(path) -> ErrorSample:
     """Read a one-column ``error`` CSV, skipping ``#`` comment lines."""
-    linenos, table = read_table(path, "error")
-    values = table[:, 0]
+    values = read_table(path, "error")[:, 0]
     bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
     if bad.size:
         raise ValueError(
-            f"{path}: line {linenos[bad[0]]}: error values must be finite and "
+            f"{path}: line {line_of(path, bad[0])}: error values must be finite and "
             f"nonnegative, got {float(values[bad[0]])!r}"
         )
     return ErrorSample(values)

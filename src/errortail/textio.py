@@ -4,21 +4,22 @@ A table is optional ``# key=value`` comment lines recording how the file was
 produced, one header line, then one comma-separated row per line. Both
 readers skip blank lines and ``#`` comments and name the line of each error.
 
-Tables cross between Python objects and arrays one block of ``BLOCK_ROWS``
-rows at a time: the reader holds one block of lines as strings, and the
-writers (through :func:`block_rows`) one block of rows as Python floats. So
-a table's Python-object memory does not grow with its length; only its
-arrays do.
+numpy's C reader (``np.loadtxt``) parses a table's rows into one array, one
+line at a time, and no line number is kept per row: a check on the values
+that names a row looks its line up with :func:`line_of`. The writers
+(through :func:`block_rows`) hold one block of ``BLOCK_ROWS`` rows as Python
+floats at a time. So a table's Python-object memory does not grow with its
+length; only its arrays do.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
 
-BLOCK_ROWS = 8_192  # rows held as Python objects at once, reading or writing
+BLOCK_ROWS = 8_192  # rows held as Python objects at once when writing
 
 
 def _content(fh) -> Iterator[tuple[int, str]]:
@@ -47,66 +48,53 @@ def write_table(
             fh.write(row + "\n")
 
 
-def _numeric(line: str) -> bool:
-    try:
-        list(map(float, line.split(",")))
-    except ValueError:
-        return False
-    return True
-
-
-def _convert_block(path, linenos: np.ndarray, rows: list[str], commas: int) -> np.ndarray:
-    """The (rows, commas + 1) values of one block of rows at these line
-    numbers; an error names the first faulty row."""
-    # rows before the first with the wrong field count
-    end = next((i for i, row in enumerate(rows) if row.count(",") != commas), len(rows))
-    fields = chain.from_iterable(row.split(",") for row in rows[:end])
-    try:
-        values = np.fromiter(map(float, fields), float, count=end * (commas + 1))
-    except ValueError:
-        bad = next(i for i in range(end) if not _numeric(rows[i]))
-        raise ValueError(
-            f"{path}: line {linenos[bad]}: non-numeric field in {rows[bad]!r}"
-        ) from None
-    if end < len(rows):
-        raise ValueError(
-            f"{path}: line {linenos[end]}: expected {commas + 1} comma-separated values, "
-            f"got {rows[end].count(',') + 1}"
-        )
-    return values.reshape(end, commas + 1)
-
-
-def read_table(path, header: str) -> tuple[np.ndarray, np.ndarray]:
-    """Line numbers and the (rows, columns) values of a table with this header.
+def read_table(path, header: str) -> np.ndarray:
+    """The (rows, columns) values of a table with this header, parsed by
+    ``np.loadtxt``.
 
     Rejects a missing or different header, a row with the wrong number of
-    fields, a field that is not a decimal number, and a table without rows;
-    of several faulty rows, the first is named. Lines are converted one
-    block of ``BLOCK_ROWS`` at a time, and the line numbers come back as
-    one integer array.
+    fields, a field that numpy's parser does not read as a number (it is
+    stricter than ``float``: ``1_000`` is not a number), and a table without
+    rows; of several faulty rows, the first is named. numpy takes the rows
+    one line at a time, so the line it stopped on is the faulty one.
     """
     commas = header.count(",")
-    linenos, values = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        lineno, line = next(_content(fh), (0, None))
+        content = _content(fh)
+        lineno, line = next(content, (0, None))
         if line is None:
             raise ValueError(f"{path}: missing {header!r} header")
         if line != header:
             raise ValueError(
                 f"{path}: line {lineno}: expected header {header!r}, got {line!r}"
             )
-        # _content read no further than the header, so the rows follow
-        while lines := [raw.strip() for raw in islice(fh, BLOCK_ROWS)]:
-            is_row = [text != "" and text[0] != "#" for text in lines]
-            rows = list(compress(lines, is_row))
-            if rows:
-                numbers = lineno + 1 + np.flatnonzero(is_row)
-                values.append(_convert_block(path, numbers, rows, commas))
-                linenos.append(numbers)
-            lineno += len(lines)
-    if not values:
-        raise ValueError(f"{path}: no rows below the {header!r} header")
-    return np.concatenate(linenos), np.concatenate(values)
+        lineno, line = last = next(content, (lineno, None))
+        if line is None:
+            raise ValueError(f"{path}: no rows below the {header!r} header")
+
+        def rows() -> Iterator[str]:
+            nonlocal last
+            for last in chain([last], content):
+                yield last[1]
+
+        if line.count(",") == commas:
+            try:
+                return np.loadtxt(rows(), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                lineno, line = last
+    if line.count(",") != commas:
+        raise ValueError(
+            f"{path}: line {lineno}: expected {commas + 1} comma-separated values, "
+            f"got {line.count(',') + 1}"
+        )
+    raise ValueError(f"{path}: line {lineno}: non-numeric field in {line!r}")
+
+
+def line_of(path, row: int) -> int:
+    """The line number of data row ``row`` (from 0) of a table, found by
+    reading the file again: only an error that names a row needs it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return next(islice(_content(fh), row + 1, None))[0]
 
 
 def read_key_values(path) -> dict[str, str]:

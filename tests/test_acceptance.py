@@ -341,7 +341,7 @@ def test_criterion_10_scaled_experiment_band(desk_run):
     for fit in report.fits:
         ok = ok and exceedance_probability(fit, fit.u) == rate
 
-    _, table = read_table(Path(config.output_dir) / "figure1.csv", FIGURE_HEADER)
+    table = read_table(Path(config.output_dir) / "figure1.csv", FIGURE_HEADER)
     figure = dict(zip(FIGURE_HEADER.split(","), table.T))
     floor = 1.0 / config.test_set_size
     qualifying = [

@@ -1,19 +1,20 @@
 """The data path holds one block of rows as Python objects at a time.
 
-The sampler, ``contract_terms``, the CSV writers and ``read_table`` cross
-between Python objects and arrays in blocks of ``textio.BLOCK_ROWS`` rows.
-Frozen copies of the whole-table conversions they replaced are the
-bit-identity oracles. ``tracemalloc`` bounds the memory each call needs
-beyond its result; every bound sits between the block-wise call and the
-whole-table one it replaced:
+The sampler, ``contract_terms`` and the CSV writers cross between Python
+objects and arrays in blocks of ``textio.BLOCK_ROWS`` rows, and
+``read_table`` hands its lines to numpy's reader one at a time. Frozen
+copies of the whole-table conversions they replaced are the bit-identity
+oracles. ``tracemalloc`` bounds the memory each call needs beyond its
+result; every bound sits between the call as it is and the whole-table one
+it replaced:
 
-| call | rows | block-wise | bound | whole-table |
+| call | rows | now | bound | whole-table |
 |---|---|---|---|---|
 | ``sample_uniform`` | 32,768 | 1.6 MB | 3.5 MB | 6.0 MB |
 | ``contract_terms`` of a list | 100,000 | 3.5 MB | 6 MB | 13.6 MB |
-| ``write_priced_csv`` of a list | 32,768 | 3.4 MB | 5.5 MB | 9.7 MB |
-| ``read_table``, priced file | 32,768 | 3.3 MB | 4.5 MB | 6.0 MB |
-| ``read_table``, error file | 32,768 | 1.3 MB | 2 MB | 2.8 MB |
+| ``write_priced_csv`` of a list | 32,768 | 3.7 MB | 5.5 MB | 9.7 MB |
+| ``read_table``, priced file | 32,768 | 0.3 MB | 4.5 MB | 6.0 MB |
+| ``read_table``, error file | 32,768 | 0.03 MB | 2 MB | 2.8 MB |
 """
 
 import tracemalloc
@@ -32,7 +33,7 @@ from errortail.pricing import (
     write_priced_csv,
 )
 from errortail.rng import generator
-from errortail.tail import ErrorSample, write_error_csv
+from errortail.tail import ErrorSample, read_error_csv, write_error_csv
 from errortail.textio import BLOCK_ROWS, read_table
 
 MB = 1e6
@@ -96,19 +97,20 @@ class TestBitIdentity:
         rows = "".join(f"{v!r}\n" for v in sample.values.tolist())
         assert path.read_text() == f"# origin=test\nerror\n{rows}"
 
-    def test_read_table_numbers_lines_across_blocks(self, tmp_path):
+    def test_read_error_csv_names_the_line_of_a_row_below_comments(self, tmp_path):
         values = generator(34).random(EDGE_ROWS)
-        lines, expected = ["# origin=test", "error"], []
+        lines = ["# origin=test", "error"]
         for i, value in enumerate(values.tolist()):
             if i % 5000 == 0:  # comments and blanks straddle the block edges
                 lines += ["", "# between rows"]
             lines.append(repr(value))
-            expected.append(len(lines))
         path = tmp_path / "errors.csv"
         path.write_text("\n".join(lines) + "\n")
-        linenos, table = read_table(path, "error")
-        assert linenos.tolist() == expected
-        assert np.array_equal(table[:, 0], values)
+        assert np.array_equal(read_table(path, "error")[:, 0], values)
+        lines[-1] = "-0.5"  # a range fault in the last row
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line {len(lines)}: error values must be"):
+            read_error_csv(path)
 
 
 class TestContractTerms:
@@ -186,6 +188,6 @@ class TestMemoryBounds:
         ],
     )
     def test_read_table(self, files, name, header, rows, bound):
-        (linenos, table), extra = traced_extra(lambda: read_table(files / name, header))
+        table, extra = traced_extra(lambda: read_table(files / name, header))
         assert table.shape == (rows, header.count(",") + 1)
         assert extra < bound

@@ -7,9 +7,9 @@ import pytest
 
 from errortail.experiment import (
     ExperimentConfig,
+    ExperimentReport,
     FIGURE_HEADER,
     FIGURE_POINTS,
-    _aggregate,
     _config_comments,
     _figure_table,
     _set_exceedance_estimate,
@@ -62,7 +62,7 @@ def read_report(path) -> tuple[dict, list[dict]]:
 
 def read_figure(path) -> dict[str, np.ndarray]:
     """The columns of a figure CSV, keyed by their header names."""
-    _, table = read_table(path, FIGURE_HEADER)
+    table = read_table(path, FIGURE_HEADER)
     return dict(zip(FIGURE_HEADER.split(","), table.T))
 
 
@@ -83,7 +83,7 @@ def synthetic_report(tmp_path, shared_u=True, test_sets=3):
         per_set.append(sample)
         fits.append(tail_fit(sample, config.k))
     pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-    return _aggregate(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
+    return ExperimentReport(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
 
 
 def degenerate_report(tmp_path):
@@ -103,7 +103,7 @@ def degenerate_report(tmp_path):
             per_set.append(sample)
             fits.append(tail_fit(sample, config.k))
     pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-    return _aggregate(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
+    return ExperimentReport(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
 
 
 def frozen_figure_rows(report) -> list[tuple[float, ...]]:
@@ -183,6 +183,12 @@ class TestConfig:
                   config.k, config.tree_steps, config.master_seed)
         assert values == (500, 3, 400, 10, 20, 7)
         assert {type(v) for v in values} == {int}
+
+    def test_config_is_hashable_with_int_widths(self):
+        config = ExperimentConfig(widths=[5, np.int64(64), 64, 64, 1])
+        assert config.widths == (5, 64, 64, 64, 1)
+        assert {type(w) for w in config.widths} == {int}
+        assert hash(config) == hash(ExperimentConfig())
 
     def test_scale_presets(self):
         desk = desk_scale_config()
@@ -447,7 +453,7 @@ class TestFigure:
             if line and not line.startswith("#")
         ]
         assert lines[0] == FIGURE_HEADER
-        _, table = read_table(path, FIGURE_HEADER)
+        table = read_table(path, FIGURE_HEADER)
         assert table.shape == (40, 7)
 
     def test_config_comments_keep_the_file_order(self, tiny_run):

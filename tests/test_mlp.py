@@ -392,7 +392,7 @@ def test_train_matches_the_frozen_functional_step_bitwise():
         assert np.array_equal(got, want)
 
 
-# inputs rejected by name before any work: a NaN or inf real, and a
+# inputs rejected by name before any work: a NaN, inf or bool real, and a
 # non-finite price (a NaN one would train an all-NaN model)
 def _toy_with_price(row, price):
     x, y = toy_set(60, seed=9)
@@ -407,7 +407,7 @@ NEWLY_REJECTED = [
             f"{name} must be in (0, inf), got {value}", id=f"{name}-{value}",
         )
         for name in ("learning_rate", "adam_epsilon")
-        for value in (math.nan, math.inf)
+        for value in (math.nan, math.inf, True)
     ),
     pytest.param(
         lambda: train(*_toy_with_price(3, math.nan), [5, 4, 1], TrainConfig(batch_size=10),

@@ -338,6 +338,10 @@ class TestTailFit:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TailFit(**terms)
 
+    def test_numpy_counts_are_stored_as_int(self):
+        fit = TailFit(n=np.int64(10), k=np.int64(2), u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
+        assert (type(fit.n), type(fit.k)) == (int, int)
+
     def test_smallest_representable_shape_keeps_a_tail(self):
         fit = TailFit(n=10, k=2, u=1.0, xstar_hat=2.0, gamma_hat=-1e-300)
         assert 0.0 < mean_excess(fit) < fit.xstar_hat - fit.u
@@ -434,6 +438,14 @@ INTEGER_BREAKS = [
         shape_estimate_known_endpoint, (SIX, 2.0, 7.0), "k must be an integer, got 2.0",
         id="shape",
     ),
+    # TailFit(n, k, u, xstar_hat, gamma_hat): exceedance_probability would
+    # read k = 2.5 as a rate of 0.25
+    pytest.param(TailFit, (10, 2.5, 1.0, 2.0, -0.5), "k must be an integer, got 2.5",
+                 id="fit-k-float"),
+    pytest.param(TailFit, (10, True, 1.0, 2.0, -0.5), "k must be an integer, got True",
+                 id="fit-k-bool"),
+    pytest.param(TailFit, (10.0, 2, 1.0, 2.0, -0.5), "n must be an integer, got 10.0",
+                 id="fit-n-float"),
 ]
 
 

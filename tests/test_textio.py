@@ -97,6 +97,13 @@ def _cases():
             f"line 3: error values must be finite and nonnegative, got {value}$",
             id=f"read_error_csv-{case}-error",
         )
+    # numpy's parser, stricter than float(), takes no underscore and no
+    # non-ASCII digit
+    for value, case in (("1_000", "underscore"), ("\u0661", "arabic-indic-digit")):
+        yield pytest.param(
+            read_error_csv, f"error\n0.5\n{value}\n", "line 3: non-numeric",
+            id=f"read_error_csv-{case}",
+        )
     # a structural fault is named before a range fault above it
     yield pytest.param(
         read_error_csv, "error\n-1.0\noops\n", "line 3: non-numeric",
