@@ -56,7 +56,7 @@ DEFAULT_TREE_STEPS = 1000
 CHUNK_NODES = 65_536  # terminal nodes per kernel call and per worker task
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
-_POSITIVE = [0, 1, 4]  # K, T and vol
+_POSITIVE = np.array([True, True, False, False, True])  # K, T and vol
 
 
 def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
@@ -75,8 +75,11 @@ def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
         terms = _rows_as_terms(contracts, row_label)
     if terms.ndim != 2 or terms.shape[1] != 5:
         raise ValueError(f"contracts must have shape (n, 5), got {terms.shape}")
-    bad = ~np.isfinite(terms)
-    bad[:, _POSITIVE] |= ~(terms[:, _POSITIVE] > 0.0)
+    bad = np.isfinite(terms)
+    np.logical_not(bad, out=bad)
+    nonpositive = terms <= 0.0  # a NaN is not finite, so is already bad
+    nonpositive &= _POSITIVE
+    bad |= nonpositive
     if bad.any():
         row, col = np.argwhere(bad)[0]
         value = float(terms[row, col])

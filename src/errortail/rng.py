@@ -7,7 +7,9 @@ which keeps stages independent: adding test sets, for example, never
 disturbs the training draw.
 
 Every count, seed, ``k`` and ``workers`` of the package passes one integer
-rule, :func:`check_integer`; :func:`generator` applies it to its seed.
+rule, :func:`check_integer`; :func:`generator` applies it to its seed,
+with a minimum of 0. A master or training seed may be negative: it reaches
+a generator only through :func:`stage_seed`.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ def check_integer(name: str, value, minimum: int | None) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """PCG64 generator for an integer seed. The package-wide PRNG."""
-    return np.random.Generator(np.random.PCG64(check_integer("seed", seed, None)))
+    """PCG64 generator for a nonnegative integer seed. The package-wide PRNG."""
+    return np.random.Generator(np.random.PCG64(check_integer("seed", seed, 0)))
 
 
 def stage_seed(master_seed: int, label: str) -> int:

@@ -16,11 +16,20 @@ Order statistics are written 1-based in the docstrings and indexed 0-based
 in the code. Ties inside the top-2k window collapse the endpoint estimate
 onto the sample maximum, which leaves the shape estimate undefined; the
 fit rejects such samples instead of perturbing them.
+
+The checks live in the public functions, and each runs once per call:
+:func:`tail_fit` checks ``k`` (an integer, at least 2, with 2k <= n) and
+:class:`TailFit` checks the fit it builds. The arithmetic lives in two
+private kernels, ``_endpoint`` and ``_shape``, shared by :func:`tail_fit`,
+:func:`endpoint_estimate` and :func:`shape_estimate_known_endpoint`. The
+kernels check nothing: they assume sorted values, an int k in range and,
+for the shape, an endpoint above the sample maximum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +38,7 @@ from .rng import check_integer
 from .textio import block_rows, line_of, read_table, write_table
 
 LN2 = math.log(2.0)
+_TINY = sys.float_info.min  # the smallest normal float
 
 # log1p(1/j) / LN2 at index j - 1, read-only and shared by every endpoint
 # estimate; grown to the next power of two when a larger k needs more
@@ -90,7 +100,8 @@ class ErrorSample:
             self._moments_of, self._moments = v, {}
         key = float(m)
         if key not in self._moments:
-            self._moments[key] = float(np.mean(v**m))
+            with np.errstate(over="ignore"):  # an overflow is inf, for markov_bound to see
+                self._moments[key] = float(np.mean(v**m))
         return self._moments[key]
 
 
@@ -111,25 +122,24 @@ class TailFit:
     sigma_u: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_integer("n", self.n, 2))
-        object.__setattr__(self, "k", check_integer("k", self.k, 1))
-        if not self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
-        for name in ("u", "xstar_hat", "gamma_hat"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {float(getattr(self, name))}")
-        if not self.gamma_hat < 0.0:
-            raise ValueError(f"gamma_hat must be negative, got {self.gamma_hat}")
+        n = check_integer("n", self.n, 2)
+        k = check_integer("k", self.k, 1)
+        if not k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        u, xstar, gamma = self.u, self.xstar_hat, self.gamma_hat
+        for name, value in (("u", u), ("xstar_hat", xstar), ("gamma_hat", gamma)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {float(value)}")
+        if not gamma < 0.0:
+            raise ValueError(f"gamma_hat must be negative, got {gamma}")
         # the tail formulas divide by gamma_hat; an overflow there collapses them to 0
-        if not math.isfinite(1.0 / float(self.gamma_hat)):
-            raise ValueError(
-                f"1/gamma_hat must be finite, got gamma_hat = {float(self.gamma_hat)}"
-            )
-        if not self.xstar_hat > self.u:
+        if not math.isfinite(1.0 / float(gamma)):
+            raise ValueError(f"1/gamma_hat must be finite, got gamma_hat = {float(gamma)}")
+        if not xstar > u:
             raise ValueError("xstar_hat must exceed the threshold u")
-        object.__setattr__(
-            self, "sigma_u", -self.gamma_hat * (self.xstar_hat - self.u)
-        )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "sigma_u", -gamma * (xstar - u))
 
 
 def exceeds_max_probability(n: int) -> float:
@@ -151,7 +161,36 @@ def markov_bound(sample: ErrorSample, m: float, x: float) -> float:
         raise ValueError(f"x must be positive, got {x}")
     if not 0.0 <= m < math.inf:
         raise ValueError(f"m must be finite and nonnegative, got {m}")
-    return min(1.0, sample._moment(m) / x**m)
+    moment = sample._moment(m)
+    try:
+        power = float(x) ** float(m)
+    except OverflowError:
+        power = math.inf
+    if _TINY <= moment < math.inf and _TINY <= power < math.inf:
+        return min(1.0, moment / power)
+    # x**m or the moment left the normal floats: scale each value by x first
+    with np.errstate(over="ignore", under="ignore"):
+        return min(1.0, float(np.mean((sample.values / x) ** m)))
+
+
+def _endpoint(v: np.ndarray, k: int) -> float:
+    """Endpoint estimate on sorted ``v``, for an int k with 1 <= k and 2k <= n."""
+    n = v.size
+    # e_(N-k-i) for i = 0..k-1, i.e. positions n-1-k down to n-2k.
+    gaps = np.subtract(v.item(n - 1 - k), v[n - 2 * k : n - k][::-1])
+    return v.item(-1) + float(_endpoint_weights(k) @ gaps)
+
+
+def _shape(v: np.ndarray, k: int, xstar) -> float:
+    """Shape estimate on sorted ``v``, for an int k with 1 <= k < n and
+    xstar > e_(N), evaluated in one scratch array."""
+    n = v.size
+    u = v[n - 1 - k]
+    t = np.subtract(v[n - k :], u)
+    t /= xstar - u
+    np.negative(t, out=t)
+    np.log1p(t, out=t)
+    return float(np.add.reduce(t)) / k
 
 
 def endpoint_estimate(sample: ErrorSample, k: int) -> float:
@@ -169,14 +208,9 @@ def endpoint_estimate(sample: ErrorSample, k: int) -> float:
     """
     k = check_integer("k", k, 1)
     v = sample.values
-    n = v.size
-    if 2 * k > n:
-        raise ValueError(f"need 2k <= n, got k={k}, n={n}")
-    w = _endpoint_weights(k)
-    # e_(N-k-i) for i = 0..k-1, i.e. positions n-1-k down to n-2k.
-    lower = v[n - 2 * k : n - k][::-1]
-    gaps = v[n - 1 - k] - lower
-    return float(v[-1] + w @ gaps)
+    if 2 * k > v.size:
+        raise ValueError(f"need 2k <= n, got k={k}, n={v.size}")
+    return _endpoint(v, k)
 
 
 def shape_estimate_known_endpoint(sample: ErrorSample, k: int, xstar: float) -> float:
@@ -188,17 +222,14 @@ def shape_estimate_known_endpoint(sample: ErrorSample, k: int, xstar: float) -> 
     """
     k = check_integer("k", k, 1)
     v = sample.values
-    n = v.size
-    if not k < n:
-        raise ValueError(f"need k < n, got k={k}, n={n}")
+    if not k < v.size:
+        raise ValueError(f"need k < n, got k={k}, n={v.size}")
     if not xstar > v[-1]:
         raise ValueError(
             f"xstar ({float(xstar)!r}) must strictly exceed the sample maximum "
             f"({float(v[-1])!r}); otherwise a log argument is nonpositive"
         )
-    u = v[n - 1 - k]
-    top = v[n - k :]
-    return float(np.mean(np.log1p(-(top - u) / (xstar - u))))
+    return _shape(v, k, xstar)
 
 
 def tail_fit(sample: ErrorSample, k: int) -> TailFit:
@@ -213,15 +244,16 @@ def tail_fit(sample: ErrorSample, k: int) -> TailFit:
     k = check_integer("k", k, 2)
     v = sample.values
     n = v.size
-    xstar = endpoint_estimate(sample, k)
+    if 2 * k > n:
+        raise ValueError(f"need 2k <= n, got k={k}, n={n}")
+    xstar = _endpoint(v, k)
     if not xstar > v[-1]:
         raise DegenerateSampleError(
             f"endpoint estimate {xstar!r} does not exceed the sample maximum "
             f"{float(v[-1])!r}: ties in the top-{2 * k} order statistics make the "
             "shape estimate undefined"
         )
-    gamma = shape_estimate_known_endpoint(sample, k, xstar)
-    return TailFit(n=n, k=k, u=float(v[n - 1 - k]), xstar_hat=xstar, gamma_hat=gamma)
+    return TailFit(n, k, float(v[n - 1 - k]), xstar, _shape(v, k, xstar))
 
 
 def exceedance_probability(fit: TailFit, x):
@@ -232,21 +264,27 @@ def exceedance_probability(fit: TailFit, x):
     below the threshold are rejected: the tail approximation does not apply.
     """
     arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    if not np.all(arr >= fit.u):
-        raise ValueError(f"x must be >= the threshold u = {float(fit.u)!r}")
-    rate = fit.k / fit.n
-    span = fit.xstar_hat - fit.u
-    inside = arr < fit.xstar_hat
-    out = np.zeros_like(arr)
+    u, xstar = fit.u, fit.xstar_hat
+    if not np.logical_and.reduce(arr >= u, axis=None):
+        raise ValueError(f"x must be >= the threshold u = {float(u)!r}")
+    out = np.zeros(arr.shape)
+    inside = arr < xstar
+    t = arr[inside]
+    t -= u
+    t /= xstar - u
+    np.negative(t, out=t)
+    np.log1p(t, out=t)
     scale = -1.0 / float(fit.gamma_hat)
     # For gamma_hat near 0 the product below would overflow to -inf. Raising
     # the log to -800 / scale first keeps the product at or above -800, and
     # changes only products below -800, whose exp is already 0.0. (For a
     # very steep tail -800 / scale is -inf in float arithmetic, no clamp.)
-    exponent = np.maximum(np.log1p(-(arr[inside] - fit.u) / span), -800.0 / scale) * scale
-    out[inside] = rate * np.exp(exponent)
-    return float(out) if scalar else out
+    np.maximum(t, -800.0 / scale, out=t)
+    t *= scale
+    np.exp(t, out=t)
+    t *= fit.k / fit.n
+    out[inside] = t
+    return float(out) if arr.ndim == 0 else out
 
 
 def mean_excess(fit: TailFit) -> float:

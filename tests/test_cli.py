@@ -157,6 +157,16 @@ class TestMarkov:
         code, _, err = run_cli(capsys, "markov", str(path), "--m", "2", "--x", "0")
         assert code != 0 and "x" in err
 
+    @pytest.mark.parametrize(
+        "m, x, expected",
+        [("2", "1e-200", "1.0"), ("400", "1e10", "0.0"), ("1e308", "2", "1.0"),
+         ("1000", "0.5", "1.0")],
+    )
+    def test_bound_beyond_the_float_range(self, capsys, tmp_path, m, x, expected):
+        path = tmp_path / "errors.csv"
+        write_error_csv(path, ErrorSample([0.1, 0.5, 2.0, 3.0]))
+        assert run_cli(capsys, "markov", str(path), "--m", m, "--x", x) == (0, f"{expected}\n", "")
+
 
 class TestGpdSample:
     def test_writes_readable_sample(self, capsys, tmp_path):
@@ -193,6 +203,16 @@ class TestGpdSample:
         )
         # endpoint of the sampled law is 2, the estimate should be near it
         assert float(fields["xstar_hat"]) == pytest.approx(2.0, abs=0.3)
+
+
+    def test_negative_seed_is_named(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "gpd-sample", "--gamma", "-0.5", "--sigma", "1", "--count", "3",
+            "--seed", "-1", "--out", str(tmp_path / "x.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTrainAndErrors:

@@ -142,3 +142,8 @@ class TestSample:
     def test_integer_rule_rejects_by_name(self, count, seed, message):
         with pytest.raises(TypeError, match=f"^{message}$"):
             gpd_sample(GpdParams(-0.5, 1.0), count, seed)
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)], ids=["int", "numpy-int"])
+    def test_negative_seed_rejected_by_name(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be >= 0, got {seed}$"):
+            gpd_sample(GpdParams(-0.5, 1.0), 3, seed)

@@ -473,6 +473,13 @@ class TestTrain:
         for ba, bb in zip(model_a.biases, model_b.biases):
             assert np.array_equal(ba, bb)
 
+    def test_negative_seed_trains(self):
+        # a training seed reaches a generator only through stage_seed, which
+        # takes any integer; a generator itself needs a seed >= 0
+        data = toy_set(100, seed=6)
+        model, _ = train(*data, [5, 4, 1], self.config(epochs=1, seed=-2), input_box=UNIT_BOX)
+        assert all(np.all(np.isfinite(w)) for w in model.weights)
+
     def test_validation_split_size(self):
         data = toy_set(403, seed=6)
         _, report = train(*data, [5, 4, 1], self.config(epochs=1), input_box=UNIT_BOX)

@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from errortail import tail
-from errortail.rng import generator
+from errortail.gpd import GpdParams, gpd_sample
+from errortail.rng import check_integer, generator
 from errortail.tail import (
     LN2,
     DegenerateSampleError,
@@ -120,6 +121,9 @@ class TestExceedsMaxProbability:
             exceeds_max_probability(0)
 
 
+FOUR = [0.1, 0.5, 2.0, 3.0]
+
+
 class TestMarkovBound:
     def test_direct_formula(self):
         assert markov_bound(ErrorSample([1.0, 1.0, 1.0, 1.0]), 2.0, 2.0) == 0.25
@@ -159,6 +163,23 @@ class TestMarkovBound:
                 for x in (0.3, 0.9):
                     want = min(1.0, float(np.mean(sample.values**m)) / x**m)
                     assert markov_bound(sample, m, x) == want
+
+    @pytest.mark.parametrize(
+        "values, m, x, expected",
+        [
+            pytest.param(FOUR, 2.0, 1e-200, 1.0, id="power-underflows"),
+            pytest.param(FOUR, 400.0, 1e10, 0.0, id="power-overflows"),
+            pytest.param(FOUR, 1e308, 2.0, 1.0, id="huge-m"),
+            pytest.param(FOUR, 1000.0, 0.5, 1.0, id="moment-overflows"),
+            # 0.1**400 underflows to 0, yet (0.1 / 0.5)**400 is a float
+            pytest.param([0.1], 400.0, 0.5, 0.2**400, id="moment-underflows"),
+        ],
+    )
+    def test_stays_a_probability_beyond_the_float_range(self, values, m, x, expected):
+        # the suite turns an overflow warning into an error
+        got = markov_bound(ErrorSample(values), m, x)
+        assert type(got) is float
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_reassigned_values_give_the_new_moment(self):
         sample = ErrorSample([1.0, 2.0, 3.0])
@@ -453,3 +474,207 @@ INTEGER_BREAKS = [
 def test_integer_rule_rejects_by_name(function, args, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         function(*args)
+
+
+# Frozen copies of the estimators as they were before the public checks and
+# the arithmetic were split, each checking its own arguments and building
+# temporaries. They are the bit-identity oracle for the kernels.
+def frozen_endpoint_estimate(sample, k):
+    k = check_integer("k", k, 1)
+    v = sample.values
+    n = v.size
+    if 2 * k > n:
+        raise ValueError(f"need 2k <= n, got k={k}, n={n}")
+    w = tail._endpoint_weights(k)
+    # e_(N-k-i) for i = 0..k-1, i.e. positions n-1-k down to n-2k.
+    lower = v[n - 2 * k : n - k][::-1]
+    gaps = v[n - 1 - k] - lower
+    return float(v[-1] + w @ gaps)
+
+
+def frozen_shape_estimate_known_endpoint(sample, k, xstar):
+    k = check_integer("k", k, 1)
+    v = sample.values
+    n = v.size
+    if not k < n:
+        raise ValueError(f"need k < n, got k={k}, n={n}")
+    if not xstar > v[-1]:
+        raise ValueError(
+            f"xstar ({float(xstar)!r}) must strictly exceed the sample maximum "
+            f"({float(v[-1])!r}); otherwise a log argument is nonpositive"
+        )
+    u = v[n - 1 - k]
+    top = v[n - k :]
+    return float(np.mean(np.log1p(-(top - u) / (xstar - u))))
+
+
+def frozen_tail_fit(sample, k):
+    k = check_integer("k", k, 2)
+    v = sample.values
+    n = v.size
+    xstar = frozen_endpoint_estimate(sample, k)
+    if not xstar > v[-1]:
+        raise DegenerateSampleError(
+            f"endpoint estimate {xstar!r} does not exceed the sample maximum "
+            f"{float(v[-1])!r}: ties in the top-{2 * k} order statistics make the "
+            "shape estimate undefined"
+        )
+    gamma = frozen_shape_estimate_known_endpoint(sample, k, xstar)
+    return TailFit(n=n, k=k, u=float(v[n - 1 - k]), xstar_hat=xstar, gamma_hat=gamma)
+
+
+def frozen_exceedance_probability(fit, x):
+    arr = np.asarray(x, dtype=float)
+    scalar = arr.ndim == 0
+    if not np.all(arr >= fit.u):
+        raise ValueError(f"x must be >= the threshold u = {float(fit.u)!r}")
+    rate = fit.k / fit.n
+    span = fit.xstar_hat - fit.u
+    inside = arr < fit.xstar_hat
+    out = np.zeros_like(arr)
+    scale = -1.0 / float(fit.gamma_hat)
+    exponent = np.maximum(np.log1p(-(arr[inside] - fit.u) / span), -800.0 / scale) * scale
+    out[inside] = rate * np.exp(exponent)
+    return float(out) if scalar else out
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns, so 0.0 and -0.0 differ and NaN equals NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def raised(call):
+    """The type and text of what ``call()`` raises; fails if it returns."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+# fractions of xstar_hat - u from the threshold up; the levels then add the
+# endpoint itself and one beyond it
+LEVEL_FRACTIONS = np.array([0.0, 1e-9, 0.25, 0.5, 0.75, 0.9, 0.999])
+
+
+class TestFrozenOracle:
+    N = 2000
+
+    @pytest.mark.parametrize("gamma", [-0.1, -0.25, -0.5, -1.0])
+    def test_k_path_is_bit_identical(self, gamma):
+        sample = ErrorSample(gpd_sample(GpdParams(gamma, 1.0), self.N, seed=41))
+        for k in range(2, self.N // 2 + 1):
+            fit, want = tail_fit(sample, k), frozen_tail_fit(sample, k)
+            got = (fit.n, fit.k, fit.u, fit.xstar_hat, fit.gamma_hat, fit.sigma_u)
+            assert got == (want.n, want.k, want.u, want.xstar_hat, want.gamma_hat, want.sigma_u)
+            assert same_bits(got[2:], (want.u, want.xstar_hat, want.gamma_hat, want.sigma_u))
+            assert same_bits(
+                endpoint_estimate(sample, k), frozen_endpoint_estimate(sample, k)
+            )
+            above = np.nextafter(fit.xstar_hat, math.inf)
+            assert same_bits(
+                shape_estimate_known_endpoint(sample, k, above),
+                frozen_shape_estimate_known_endpoint(sample, k, above),
+            )
+            levels = np.append(
+                fit.u + (fit.xstar_hat - fit.u) * LEVEL_FRACTIONS,
+                [fit.xstar_hat, 2 * fit.xstar_hat - fit.u],
+            )
+            probabilities = exceedance_probability(fit, levels)
+            assert np.array_equal(probabilities, frozen_exceedance_probability(fit, levels))
+            assert same_bits(probabilities, frozen_exceedance_probability(fit, levels))
+            for level in levels[[0, 3, -1]].tolist():
+                got = exceedance_probability(fit, level)
+                assert type(got) is float
+                assert same_bits(got, frozen_exceedance_probability(fit, level))
+
+    def test_tied_sample_fails_at_the_same_k(self):
+        values = np.concatenate(
+            [generator(42).random(300), np.full(40, 1.5), 2.0 + generator(43).random(20)]
+        )
+        sample = ErrorSample(values)
+        got, want = {}, {}
+        for k in range(2, sample.n // 2 + 1):
+            for outcome, fit in ((got, tail_fit), (want, frozen_tail_fit)):
+                try:
+                    result = fit(sample, k)
+                except DegenerateSampleError as exc:
+                    outcome[k] = str(exc)
+                else:
+                    outcome[k] = (result.u, result.xstar_hat, result.gamma_hat)
+        assert got == want
+        assert sum(isinstance(v, str) for v in got.values()) > 0
+
+    @pytest.mark.parametrize("xstar", [np.float32(1.01), np.float64(1.01), 2, 1.01])
+    def test_shape_keeps_the_bits_for_every_endpoint_type(self, xstar):
+        sample = ErrorSample(generator(44).random(100))
+        for k in (1, 10, 99):
+            assert same_bits(
+                shape_estimate_known_endpoint(sample, k, xstar),
+                frozen_shape_estimate_known_endpoint(sample, k, xstar),
+            )
+
+    def test_tied_shape_window_gives_the_same_signed_zero(self):
+        sample = ErrorSample([1.0, 2.0, 2.0, 2.0])
+        assert same_bits(
+            shape_estimate_known_endpoint(sample, 2, 3.0),
+            frozen_shape_estimate_known_endpoint(sample, 2, 3.0),
+        )
+
+    @pytest.mark.parametrize(
+        "function, frozen, args",
+        [
+            pytest.param(tail_fit, frozen_tail_fit, (SIX, 1), id="fit-k-1"),
+            pytest.param(tail_fit, frozen_tail_fit, (SIX, 4), id="fit-2k-above-n"),
+            pytest.param(tail_fit, frozen_tail_fit, (SIX, 2.0), id="fit-k-float"),
+            pytest.param(tail_fit, frozen_tail_fit, (SIX, True), id="fit-k-bool"),
+            pytest.param(endpoint_estimate, frozen_endpoint_estimate, (SIX, 0), id="end-k-0"),
+            pytest.param(endpoint_estimate, frozen_endpoint_estimate, (SIX, 4), id="end-2k"),
+            pytest.param(
+                shape_estimate_known_endpoint, frozen_shape_estimate_known_endpoint,
+                (SIX, 6, 7.0), id="shape-k-n",
+            ),
+            pytest.param(
+                shape_estimate_known_endpoint, frozen_shape_estimate_known_endpoint,
+                (SIX, 2, 6.0), id="shape-xstar-at-max",
+            ),
+            pytest.param(
+                shape_estimate_known_endpoint, frozen_shape_estimate_known_endpoint,
+                (SIX, 2, math.nan), id="shape-xstar-nan",
+            ),
+        ],
+    )
+    def test_same_error_text(self, function, frozen, args):
+        assert raised(lambda: function(*args)) == raised(lambda: frozen(*args))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            pytest.param(0.99, id="below-u"),
+            pytest.param(math.nan, id="nan"),
+            pytest.param(np.array([1.5, math.nan]), id="nan-in-array"),
+            pytest.param(np.array([[1.5, 2.5], [0.5, 1.0]]), id="below-u-in-2d"),
+        ],
+    )
+    def test_same_error_text_for_a_level(self, x):
+        fit = TailFit(n=10**4, k=100, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
+        got = raised(lambda: exceedance_probability(fit, x))
+        assert got == raised(lambda: frozen_exceedance_probability(fit, x))
+
+    def test_shapes_of_levels_are_kept(self):
+        fit = TailFit(n=10**4, k=100, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
+        for x in (np.array([]), np.full((2, 3), 1.5), np.array([[1.0], [3.0]]), [1.0, 2.0]):
+            got = exceedance_probability(fit, x)
+            assert isinstance(got, np.ndarray)
+            assert same_bits(got, frozen_exceedance_probability(fit, x))
+
+    def test_a_fit_checks_k_once(self, monkeypatch):
+        names = []
+
+        def counting(name, value, minimum):
+            names.append(name)
+            return check_integer(name, value, minimum)
+
+        monkeypatch.setattr(tail, "check_integer", counting)
+        tail_fit(SIX, 2)
+        # tail_fit's k, then TailFit's own n and k
+        assert names == ["k", "n", "k"]
