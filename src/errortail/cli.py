@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import experiment as exp
@@ -19,28 +19,27 @@ from . import mlp, pricing, tail
 from .gpd import GpdParams, gpd_sample
 from .textio import read_key_values
 
-FIT_FILE_KEYS = ("n", "k", "u", "xstar_hat", "gamma_hat", "sigma_u")
 # TrainConfig fields that ``train`` takes from the flags of the same name.
 _TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed")
 
 
 def _fit_text(fit: tail.TailFit) -> str:
-    return "".join(f"{key} = {getattr(fit, key)!r}\n" for key in FIT_FILE_KEYS)
+    return "".join(f"{f.name} = {getattr(fit, f.name)!r}\n" for f in fields(tail.TailFit))
 
 
 def _read_fit_file(path) -> tail.TailFit:
     values = read_key_values(path)
-    fields = FIT_FILE_KEYS[:-1]  # TailFit derives sigma_u from the others
-    missing = [key for key in fields if key not in values]
+    init = [f for f in fields(tail.TailFit) if f.init]  # TailFit derives sigma_u
+    missing = [f.name for f in init if f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing fit fields: {', '.join(missing)}")
     parsed = {}
-    for key in fields:
+    for f in init:
         try:
-            parsed[key] = (int if key in ("n", "k") else float)(values[key])
+            parsed[f.name] = exp._PARSERS[f.type](values[f.name])
         except ValueError:
             raise ValueError(
-                f"{path}: field {key!r}: cannot parse value {values[key]!r}"
+                f"{path}: field {f.name!r}: cannot parse value {values[f.name]!r}"
             ) from None
     try:
         return tail.TailFit(**parsed)

@@ -115,7 +115,7 @@ def paper_scale_config() -> ExperimentConfig:
 @dataclass
 class ExperimentReport:
     """Everything a run produced, ready for persistence and inspection. The
-    aggregates across the fitted sets are derived on construction."""
+    figure and the aggregates across the fitted sets are derived on construction."""
 
     config: ExperimentConfig
     resolved_train_seed: int
@@ -133,25 +133,49 @@ class ExperimentReport:
     mean_excess_std: float = field(init=False)
     pooled_exceed_at_u_ref: float = field(init=False)
     pooled_mean_excess_at_u_ref: float = field(init=False)
+    figure: np.ndarray = field(init=False, compare=False)  # derived from the fields above
 
     def __post_init__(self) -> None:
+        """The figure's levels x run geometrically from ``u_ref`` to the pooled
+        maximum, and the aggregates read its first level, ``u_ref`` itself.
+        ``evt_mean`` averages the per-set estimates at x, the band is mean
+        -/+ twice their standard deviation (clipped to [0, 1]), and the rest
+        are the pooled survival fraction and moment bounds with m = 2 and 4."""
         good = [(f, e) for f, e in zip(self.fits, self.per_set_errors) if f is not None]
         if not good:
             raise DegenerateSampleError("every test set produced a degenerate tail fit")
         self.u_ref = u_ref = float(np.median([f.u for f, _ in good]))
-        self.exceed_at_u_ref = exceed = [
-            float(_set_exceedance_estimate(f, e, u_ref)) for f, e in good
-        ]
+        top = float(self.pooled.values[-1])
+        if top <= u_ref:
+            raise ValueError("pooled maximum does not exceed the reference threshold")
+        grid = np.geomspace(u_ref, top, FIGURE_POINTS)
+        per_set = np.vstack([_set_exceedance_estimate(f, e, grid) for f, e in good])
+        self.exceed_at_u_ref = exceed = per_set[:, 0].tolist()
         self.mean_excesses = excesses = [mean_excess(f) for f, _ in good]
         pooled_above = self.pooled.values[self.pooled.values > u_ref]
         self.pooled_mean_excess_at_u_ref = (
             float(np.mean(pooled_above - u_ref)) if pooled_above.size else 0.0
         )
+        # column 0's 1-D mean and sd can differ in the last bit from the figure's axis-0 ones
         self.exceed_mean = float(np.mean(exceed))
         self.exceed_std = _sample_std(exceed)
         self.mean_excess_mean = float(np.mean(excesses))
         self.mean_excess_std = _sample_std(excesses)
-        self.pooled_exceed_at_u_ref = pooled_empirical_sf(self.pooled, u_ref)
+        means = per_set.mean(axis=0)
+        stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
+        empirical = pooled_empirical_sf(self.pooled, grid)
+        self.pooled_exceed_at_u_ref = float(empirical[0])
+        m2 = [markov_bound(self.pooled, 2.0, x) for x in grid]
+        m4 = [markov_bound(self.pooled, 4.0, x) for x in grid]
+        self.figure = np.column_stack([
+            grid,
+            means,
+            np.maximum(0.0, means - 2.0 * stds),
+            np.minimum(1.0, means + 2.0 * stds),
+            empirical,
+            m2,
+            m4,
+        ])
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
@@ -165,21 +189,18 @@ def pooled_empirical_sf(all_errors: ErrorSample, x):
     return float(out) if scalar else out
 
 
-def _set_exceedance_estimate(fit: TailFit, errors: ErrorSample, x):
-    """One test set's exceedance estimate at levels x.
+def _set_exceedance_estimate(fit: TailFit, errors: ErrorSample, x: np.ndarray) -> np.ndarray:
+    """One test set's exceedance estimate at the levels of the array x.
 
     Fitted tail at and above the set's own threshold, empirical survival
     fraction below it. The two sides meet at k/N when the window holds no
     ties, so the curve is continuous and nonincreasing.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(arr)
-    above = arr >= fit.u
-    if np.any(above):
-        out[above] = exceedance_probability(fit, arr[above])
-    if np.any(~above):
-        out[~above] = pooled_empirical_sf(errors, arr[~above])
-    return out if np.asarray(x).ndim else float(out[0])
+    out = np.empty_like(x)
+    above = x >= fit.u
+    out[above] = exceedance_probability(fit, x[above])
+    out[~above] = pooled_empirical_sf(errors, x[~above])
+    return out
 
 
 def _sample_std(values: Sequence[float]) -> float:
@@ -237,41 +258,6 @@ def run_experiment(
     return report
 
 
-def _figure_table(report: ExperimentReport) -> np.ndarray:
-    """The figure's (``FIGURE_POINTS``, 7) columns in ``FIGURE_HEADER`` order.
-
-    The levels x run geometrically from the reference threshold to the
-    pooled maximum. ``evt_mean`` averages the per-set exceedance estimates
-    at x, the band is mean -/+ twice their standard deviation (clipped to
-    [0, 1]), and the remaining columns are the pooled empirical survival
-    fraction and the pooled moment bounds with m = 2 and m = 4.
-    """
-    top = float(report.pooled.values[-1])
-    if top <= report.u_ref:
-        raise ValueError("pooled maximum does not exceed the reference threshold")
-    grid = np.geomspace(report.u_ref, top, FIGURE_POINTS)
-    good = [
-        (f, e)
-        for f, e in zip(report.fits, report.per_set_errors)
-        if f is not None
-    ]
-    per_set = np.vstack([_set_exceedance_estimate(f, e, grid) for f, e in good])
-    means = per_set.mean(axis=0)
-    stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
-    empirical = pooled_empirical_sf(report.pooled, grid)
-    m2 = [markov_bound(report.pooled, 2.0, x) for x in grid]
-    m4 = [markov_bound(report.pooled, 4.0, x) for x in grid]
-    return np.column_stack([
-        grid,
-        means,
-        np.maximum(0.0, means - 2.0 * stds),
-        np.minimum(1.0, means + 2.0 * stds),
-        empirical,
-        m2,
-        m4,
-    ])
-
-
 def format_probability(p: float) -> str:
     """Plain decimal for p >= 1e-6, scientific notation only below."""
     if p == 0.0:
@@ -300,7 +286,7 @@ def emit_figure_csv(report: ExperimentReport, path) -> None:
     ``#`` comment lines above the fixed header."""
     rows = (
         ",".join([repr(x), *map(format_probability, probabilities)])
-        for x, *probabilities in _figure_table(report).tolist()
+        for x, *probabilities in report.figure.tolist()
     )
     write_table(path, FIGURE_HEADER, rows, _config_comments(report))
 

@@ -141,8 +141,14 @@ def check_widths(widths: Sequence[int], input_dim: int) -> tuple[int, ...]:
 
 
 def split_sizes(size: int, config: TrainConfig) -> tuple[int, int]:
-    """Training and validation row counts; rejects fewer training rows than a batch."""
+    """Training and validation row counts; rejects an empty validation split
+    and fewer training rows than a batch."""
     val_size = round(config.validation_fraction * size)
+    if val_size < 1:
+        raise ValueError(
+            f"validation_fraction {config.validation_fraction} of a dataset of size "
+            f"{size} holds out no validation rows; need at least 1"
+        )
     train_size = size - val_size
     if train_size < config.batch_size:
         raise ValueError(
@@ -312,8 +318,8 @@ def train(
 ) -> tuple[MlpModel, TrainingReport]:
     """Train a network on contracts ``x`` and their oracle ``prices``.
 
-    The validation split holds out round(validation_fraction * size) points
-    chosen by a seeded shuffle; every epoch reshuffles the remaining
+    The validation split holds out round(validation_fraction * size) points,
+    at least one, chosen by a seeded shuffle; every epoch reshuffles the remaining
     training rows and walks them in mini-batches (the final batch may be
     short). Fully deterministic given (x, prices, widths, config).
     """

@@ -13,9 +13,11 @@ statistics drive three closed-form estimators:
   mean excess E[E - u | E > u].
 
 Order statistics are written 1-based in the docstrings and indexed 0-based
-in the code. Ties inside the top-2k window collapse the endpoint estimate
-onto the sample maximum, which leaves the shape estimate undefined; the
-fit rejects such samples instead of perturbing them.
+in the code. Two kinds of ties leave the fit undefined, and the fit
+rejects both instead of perturbing the sample: ties among e_(N-2k+1), ...,
+e_(N-k) collapse the endpoint estimate onto the sample maximum, and top
+values e_(N-k) = ... = e_(N) tied at the threshold give a shape estimate
+of 0, which is not negative.
 
 The checks live in the public functions, and each runs once per call:
 :func:`tail_fit` checks ``k`` (an integer, at least 2, with 2k <= n) and
@@ -237,9 +239,11 @@ def tail_fit(sample: ErrorSample, k: int) -> TailFit:
 
     Raises :class:`DegenerateSampleError` when ties among the order
     statistics e_(N-2k+1), ..., e_(N-k) pull the endpoint estimate down to
-    the sample maximum, where the shape estimate is undefined. Jittering
-    the data instead would silently corrupt the estimates. Requires k >= 2:
-    at k = 1 the endpoint estimate is always the sample maximum.
+    the sample maximum, where the shape estimate is undefined, and when the
+    top k+1 order statistics tie at the threshold, where the shape estimate
+    is 0. Jittering the data instead would silently corrupt the estimates.
+    Requires k >= 2: at k = 1 the endpoint estimate is always the sample
+    maximum.
     """
     k = check_integer("k", k, 2)
     v = sample.values
@@ -253,7 +257,15 @@ def tail_fit(sample: ErrorSample, k: int) -> TailFit:
             f"{float(v[-1])!r}: ties in the top-{2 * k} order statistics make the "
             "shape estimate undefined"
         )
-    return TailFit(n, k, float(v[n - 1 - k]), xstar, _shape(v, k, xstar))
+    u = float(v[n - 1 - k])
+    gamma = _shape(v, k, xstar)
+    if not gamma < 0.0:
+        raise DegenerateSampleError(
+            f"shape estimate {gamma!r} is not negative: the top {k + 1} order "
+            f"statistics are tied at the threshold u = {u!r}, which leaves the fitted "
+            "tail undefined"
+        )
+    return TailFit(n, k, u, xstar, gamma)
 
 
 def exceedance_probability(fit: TailFit, x):
@@ -264,14 +276,15 @@ def exceedance_probability(fit: TailFit, x):
     below the threshold are rejected: the tail approximation does not apply.
     """
     arr = np.asarray(x, dtype=float)
-    u, xstar = fit.u, fit.xstar_hat
+    u, span = fit.u, fit.xstar_hat - fit.u
     if not np.logical_and.reduce(arr >= u, axis=None):
         raise ValueError(f"x must be >= the threshold u = {float(u)!r}")
     out = np.zeros(arr.shape)
-    inside = arr < xstar
-    t = arr[inside]
-    t -= u
-    t /= xstar - u
+    # x - u < span makes the ratio below round under 1, so log1p never sees -1
+    t = arr - u
+    inside = t < span
+    t = t[inside]
+    t /= span
     np.negative(t, out=t)
     np.log1p(t, out=t)
     scale = -1.0 / float(fit.gamma_hat)

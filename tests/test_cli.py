@@ -113,6 +113,13 @@ class TestFitAndQuery:
         assert code != 0
         assert "2k" in err
 
+    def test_fit_tail_names_tied_top_order_statistics(self, capsys, tmp_path):
+        path = tmp_path / "tied.csv"
+        write_error_csv(path, ErrorSample(np.concatenate([np.linspace(0, 1, 50), [2.0] * 6])))
+        code, out, err = run_cli(capsys, "fit-tail", str(path), "--k", "5")
+        assert code == 1 and out == ""
+        assert "the top 6 order statistics are tied at the threshold u = 2.0" in err
+
     def test_tail_query_rejects_nan_level(self, capsys, hand_errors_csv, tmp_path):
         fit_path = tmp_path / "fit.txt"
         run_cli(capsys, "fit-tail", str(hand_errors_csv), "--k", "2", "--out", str(fit_path))
@@ -316,6 +323,18 @@ class TestTrainAndErrors:
             main(["train", "--data", "d.csv", "--out", "m.json", "--widths", "5,x,1"])
         assert info.value.code == 2
         assert "--widths" in capsys.readouterr().err
+
+    def test_train_rejects_empty_validation_split(self, capsys, tmp_path):
+        contracts = sample_uniform(C_TRAIN, 40, seed=5)
+        data_path = tmp_path / "train.csv"
+        write_priced_csv(data_path, contracts, price_contracts(contracts, steps=10))
+        model_path = tmp_path / "model.json"
+        code, out, err = run_cli(
+            capsys, "train", "--data", str(data_path), "--out", str(model_path),
+            "--widths", "5,4,1", "--batch-size", "10", "--validation-fraction", "0.01",
+        )
+        assert code == 1 and out == "" and not model_path.exists()
+        assert "validation_fraction 0.01 of a dataset of size 40 holds out no validation" in err
 
     def test_train_rejects_malformed_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,18 +1,17 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from errortail import experiment
 from errortail.experiment import (
     ExperimentConfig,
     ExperimentReport,
     FIGURE_HEADER,
     FIGURE_POINTS,
     _config_comments,
-    _figure_table,
-    _set_exceedance_estimate,
     desk_scale_config,
     emit_figure_csv,
     format_probability,
@@ -24,7 +23,7 @@ from errortail.experiment import (
 )
 from errortail.mlp import TrainConfig, TrainingReport
 from errortail.tail import (
-    ErrorSample, exceedance_probability, markov_bound, mean_excess, tail_fit,
+    ErrorSample, TailFit, exceedance_probability, markov_bound, mean_excess, tail_fit,
 )
 from errortail.textio import read_table
 
@@ -106,19 +105,64 @@ def degenerate_report(tmp_path):
     return ExperimentReport(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
 
 
+def frozen_set_exceedance_estimate(fit, errors, x):
+    """A set's exceedance estimate at scalar or array levels x, as it stood
+    when the report evaluated each set twice. Frozen as part of the oracles
+    below; do not edit."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(arr)
+    above = arr >= fit.u
+    if np.any(above):
+        out[above] = exceedance_probability(fit, arr[above])
+    if np.any(~above):
+        out[~above] = pooled_empirical_sf(errors, arr[~above])
+    return out if np.asarray(x).ndim else float(out[0])
+
+
+def frozen_sample_std(values) -> float:
+    arr = np.asarray(values, dtype=float)
+    if arr.size < 2:
+        return 0.0
+    return float(np.std(arr, ddof=1))
+
+
+def frozen_aggregates(report) -> dict:
+    """The report's aggregates as they stood when they were derived apart
+    from the figure, at the scalar ``u_ref``. Frozen as the oracle for
+    ``ExperimentReport``'s derivation; do not edit."""
+    good = [(f, e) for f, e in zip(report.fits, report.per_set_errors) if f is not None]
+    u_ref = float(np.median([f.u for f, _ in good]))
+    exceed = [float(frozen_set_exceedance_estimate(f, e, u_ref)) for f, e in good]
+    excesses = [mean_excess(f) for f, _ in good]
+    pooled_above = report.pooled.values[report.pooled.values > u_ref]
+    return dict(
+        u_ref=u_ref,
+        exceed_at_u_ref=exceed,
+        mean_excesses=excesses,
+        pooled_mean_excess_at_u_ref=(
+            float(np.mean(pooled_above - u_ref)) if pooled_above.size else 0.0
+        ),
+        exceed_mean=float(np.mean(exceed)),
+        exceed_std=frozen_sample_std(exceed),
+        mean_excess_mean=float(np.mean(excesses)),
+        mean_excess_std=frozen_sample_std(excesses),
+        pooled_exceed_at_u_ref=pooled_empirical_sf(report.pooled, u_ref),
+    )
+
+
 def frozen_figure_rows(report) -> list[tuple[float, ...]]:
     """The figure's arithmetic as it stood before the table was one array:
     per-level Python floats from the per-set stack, its mean and sample
     standard deviation, the 2-sigma band clipped one level at a time, the
     pooled survival fraction and the moment-bound loops. Frozen as the
-    oracle for ``_figure_table``; do not edit."""
+    oracle for ``ExperimentReport.figure``; do not edit."""
     grid = np.geomspace(report.u_ref, float(report.pooled.values[-1]), 40)
     good = [
         (f, e)
         for f, e in zip(report.fits, report.per_set_errors)
         if f is not None
     ]
-    per_set = np.vstack([_set_exceedance_estimate(f, e, grid) for f, e in good])
+    per_set = np.vstack([frozen_set_exceedance_estimate(f, e, grid) for f, e in good])
     means = per_set.mean(axis=0)
     stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
     empirical = pooled_empirical_sf(report.pooled, grid)
@@ -136,6 +180,29 @@ def frozen_figure_rows(report) -> list[tuple[float, ...]]:
             float(m4[i]),
         ))
     return rows
+
+
+REPORT_SHAPES = ["tiny-run", "shared-threshold", "one-set", "degenerate-set", "many-sets"]
+
+
+def report_of_shape(shape, tiny_run, tmp_path):
+    """One report per shape: a real run, hand-made fits on one shared or on
+    separate thresholds, a set without a fit, and seventeen sets, where numpy
+    sums the 1-D per-set column pairwise and the figure's axis-0 reductions
+    of the same column round differently."""
+    return {
+        "tiny-run": lambda: tiny_run[1],
+        "shared-threshold": lambda: synthetic_report(tmp_path),
+        "one-set": lambda: synthetic_report(tmp_path, shared_u=False, test_sets=1),
+        "degenerate-set": lambda: degenerate_report(tmp_path),
+        "many-sets": lambda: synthetic_report(tmp_path, shared_u=False, test_sets=17),
+    }[shape]()
+
+
+def same_bits(a, b) -> bool:
+    """Equal as IEEE bit patterns, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +229,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="training rows"):
             ExperimentConfig(train_samples=120, train_config=TrainConfig(batch_size=100))
         ExperimentConfig(train_samples=125, train_config=TrainConfig(batch_size=100))
+
+    def test_empty_validation_split_rejected(self):
+        # round(0.01 * 40) = 0 rows would validate on nothing and report NaN
+        with pytest.raises(ValueError, match="^validation_fraction 0.01 .* no validation rows"):
+            ExperimentConfig(
+                train_samples=40,
+                train_config=TrainConfig(batch_size=10, validation_fraction=0.01),
+            )
+        ExperimentConfig(
+            train_samples=60, train_config=TrainConfig(batch_size=10, validation_fraction=0.01)
+        )
 
     @pytest.mark.parametrize("value", [True, 2.5, 2.0])
     @pytest.mark.parametrize(
@@ -403,6 +481,30 @@ class TestRunExperiment:
             == Path(parallel.output_dir, "figure1.csv").read_bytes()
         )
 
+    def test_set_with_tied_top_values_is_recorded(self, tmp_path, monkeypatch):
+        # set 1's top k + 1 errors tie at its maximum while the values below
+        # do not: the endpoint clears the maximum and the shape estimate is 0
+        config = tiny_config(tmp_path)
+        real_error_sample, calls = experiment.error_sample, []
+
+        def tie_set_one(*args):
+            errors = real_error_sample(*args)
+            calls.append(errors)
+            if len(calls) != 2:
+                return errors
+            values = errors.values.copy()
+            values[-config.k - 1 :] = values[-1]
+            return ErrorSample(values)
+
+        monkeypatch.setattr(experiment, "error_sample", tie_set_one)
+        report = run_experiment(config)
+        assert report.fits[1] is None and None not in (report.fits[0], report.fits[2])
+        [(index, message)] = report.failures
+        assert index == 1 and "tied at the threshold" in message
+        assert len(report.exceed_at_u_ref) == config.test_sets - 1
+        keyvals, sets = read_report(Path(config.output_dir, "report.txt"))
+        assert sets[1]["n"] == "degenerate" and keyvals["count"] == "1"
+
     def test_degenerate_sets_recorded_and_excluded(self, tmp_path):
         report = degenerate_report(tmp_path)
         config = report.config
@@ -410,7 +512,7 @@ class TestRunExperiment:
         assert len(report.exceed_at_u_ref) == config.test_sets - 1
         assert report.failures == [(1, "tied order statistics")]
         assert report.fits[1] is None
-        table = _figure_table(report)
+        table = report.figure
         assert table[0, 0] == report.u_ref
         assert 0.0 <= table[0, 1] <= 1.0
 
@@ -422,19 +524,56 @@ class TestRunExperiment:
         assert int(keyvals["fitted_sets"]) == config.test_sets - 1
 
 
+class TestReportOracle:
+    @pytest.mark.parametrize("shape", REPORT_SHAPES)
+    def test_aggregates_match_frozen_derivation(self, shape, tiny_run, tmp_path):
+        report = report_of_shape(shape, tiny_run, tmp_path)
+        want = frozen_aggregates(report)
+        assert len(want["exceed_at_u_ref"]) == len(report.exceed_at_u_ref)
+        for name, value in want.items():
+            assert same_bits(getattr(report, name), value), name
+        assert all(type(v) is float for v in report.exceed_at_u_ref)
+
+    def test_many_sets_tell_the_two_reductions_apart(self, tiny_run, tmp_path):
+        # the figure's mean at u_ref is not the aggregate's mean in the last
+        # bit, so the oracle above sees a merge of the two reductions
+        report = report_of_shape("many-sets", tiny_run, tmp_path)
+        assert report.figure[0, 0] == report.u_ref
+        assert report.figure[0, 1] != report.exceed_mean
+        assert report.figure[0, 1] == pytest.approx(report.exceed_mean, rel=1e-15)
+
+    def test_reports_from_the_same_inputs_are_equal(self, tmp_path):
+        report = synthetic_report(tmp_path)
+        inputs = [getattr(report, f.name) for f in fields(report) if f.init]
+        assert ExperimentReport(*inputs) == report
+
+    def test_pooled_maximum_at_the_reference_threshold_is_rejected(self, tmp_path):
+        # a hand-made fit whose threshold sits above every error
+        config = tiny_config(tmp_path, test_sets=1, k=5, test_set_size=100)
+        errors = ErrorSample(np.linspace(0.0, 1.0, 100))
+        fit = TailFit(n=100, k=5, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
+        with pytest.raises(ValueError, match="^pooled maximum does not exceed"):
+            ExperimentReport(config, 0, [fit], [], errors, [errors], HAND_TRAINING)
+
+    def test_run_without_a_figure_writes_no_output(self, tmp_path, monkeypatch):
+        # the report is rejected when it is built, before report.txt is written
+        def fit_above_every_error(sample, k):
+            top = float(sample.values[-1])
+            return TailFit(n=sample.n, k=k, u=top + 1.0, xstar_hat=top + 2.0, gamma_hat=-0.5)
+
+        monkeypatch.setattr(experiment, "tail_fit", fit_above_every_error)
+        config = tiny_config(tmp_path, test_sets=1)
+        with pytest.raises(ValueError, match="^pooled maximum does not exceed"):
+            run_experiment(config)
+        assert list(Path(config.output_dir).iterdir()) == []
+
+
 class TestFigure:
-    @pytest.mark.parametrize(
-        "shape", ["tiny-run", "shared-threshold", "one-set", "degenerate-set"]
-    )
+    @pytest.mark.parametrize("shape", REPORT_SHAPES)
     def test_table_and_file_match_frozen_rows(self, shape, tiny_run, tmp_path):
-        report = {
-            "tiny-run": lambda: tiny_run[1],
-            "shared-threshold": lambda: synthetic_report(tmp_path),
-            "one-set": lambda: synthetic_report(tmp_path, shared_u=False, test_sets=1),
-            "degenerate-set": lambda: degenerate_report(tmp_path),
-        }[shape]()
+        report = report_of_shape(shape, tiny_run, tmp_path)
         frozen = frozen_figure_rows(report)
-        assert np.array_equal(_figure_table(report), np.array(frozen))
+        assert np.array_equal(report.figure, np.array(frozen))
         path = tmp_path / "figure1.csv"
         emit_figure_csv(report, path)
         comments = "".join(f"# {k}={v}\n" for k, v in _config_comments(report).items())
@@ -497,7 +636,7 @@ class TestFigure:
         rate = report.fits[0].k / report.fits[0].n
         u = report.fits[0].u
         assert all(f.u == u for f in report.fits)
-        row = _figure_table(report)[0]
+        row = report.figure[0]
         assert row[0] == report.u_ref == u
         # every set contributes exactly k/N at the shared threshold; the
         # cross-set mean and band collapse onto it up to averaging ulps
@@ -507,7 +646,7 @@ class TestFigure:
 
     def test_default_grid_spans_threshold_to_max(self, tiny_run):
         _, report = tiny_run
-        grid = _figure_table(report)[:, 0]
+        grid = report.figure[:, 0]
         assert grid[0] == pytest.approx(report.u_ref, rel=1e-12)
         assert grid[-1] == pytest.approx(float(report.pooled.values[-1]), rel=1e-12)
         assert grid.size == FIGURE_POINTS == 40

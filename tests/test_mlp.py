@@ -400,6 +400,7 @@ def _toy_with_price(row, price):
     return x, y
 
 
+EMPTY_VALIDATION = TrainConfig(batch_size=10, validation_fraction=0.01)
 NEWLY_REJECTED = [
     *(
         pytest.param(
@@ -417,6 +418,19 @@ NEWLY_REJECTED = [
     pytest.param(
         lambda: error_sample(init_model([5, 4, 1], 0, UNIT_BOX), *_toy_with_price(7, math.inf)),
         "row 7: price must be finite, got inf", id="errors-inf-price",
+    ),
+    # round(0.01 * 40) = 0 rows: the validation curve would be all NaN
+    *(
+        pytest.param(
+            call,
+            "validation_fraction 0.01 of a dataset of size 40 holds out no validation "
+            "rows; need at least 1", id=f"{name}-empty-validation",
+        )
+        for name, call in (
+            ("split", lambda: split_sizes(40, EMPTY_VALIDATION)),
+            ("train", lambda: train(*toy_set(40, seed=3), [5, 4, 1], EMPTY_VALIDATION,
+                                    input_box=UNIT_BOX)),
+        )
     ),
 ]
 

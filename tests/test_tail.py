@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -333,6 +334,18 @@ class TestTailFit:
             tail_fit(ErrorSample([1.0, 2.0, 5.0, 5.0, 7.0, 9.0]), 2)
         assert "maximum 9.0:" in str(info.value)
 
+    def test_tied_top_order_statistics_rejected(self):
+        # the top k + 1 values tie at the threshold while the window below
+        # does not: the endpoint clears the maximum and the shape estimate is 0
+        sample = ErrorSample(np.concatenate([np.linspace(0.0, 1.0, 50), [2.0] * 6]))
+        assert endpoint_estimate(sample, 5) > 2.0
+        with pytest.raises(DegenerateSampleError) as info:
+            tail_fit(sample, 5)
+        assert str(info.value) == (
+            "shape estimate 0.0 is not negative: the top 6 order statistics are tied "
+            "at the threshold u = 2.0, which leaves the fitted tail undefined"
+        )
+
     def test_k_one_rejected_by_name(self):
         # at k = 1 the endpoint estimate is always the maximum, ties or not
         with pytest.raises(ValueError, match="^k must be >= 2, got 1$") as info:
@@ -406,6 +419,18 @@ class TestExceedanceProbability:
         # clamp itself does; the suite turns either warning into an error
         fit = TailFit(n=10, k=2, u=1.0, xstar_hat=2.0, gamma_hat=gamma_hat)
         assert exceedance_probability(fit, 1.999999) == expected
+
+    def test_level_below_the_endpoint_at_the_full_span_without_warning(self):
+        # the level is below xstar_hat, but its distance to u rounds to the
+        # whole span xstar_hat - u, where log1p would see -1 and warn
+        fit = tail_fit(ErrorSample(gpd_sample(GpdParams(-0.1, 1.0), 2000, seed=41)), 177)
+        level = fit.u + (fit.xstar_hat - fit.u) * 1.0
+        assert level < fit.xstar_hat and level - fit.u == fit.xstar_hat - fit.u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exceedance_probability(fit, level) == 0.0
+            levels = np.array([fit.u, level])
+            assert exceedance_probability(fit, levels).tolist() == [fit.k / fit.n, 0.0]
 
     def test_rejects_below_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
