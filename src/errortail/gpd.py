@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import check_integer, generator
+from .rng import check_integer, check_nonnegative, generator
 
 GAMMA_ZERO_TOL = 1e-12
 
@@ -40,23 +40,12 @@ class GpdParams:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def _as_nonnegative_array(x, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite and nonnegative")
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(arr: np.ndarray, scalar: bool):
-    return float(arr) if scalar else arr
-
-
 def gpd_cdf(params: GpdParams, x):
     """Distribution function H at x >= 0.
 
     Returns 1 exactly at and beyond the upper endpoint when gamma < 0.
     """
-    arr, scalar = _as_nonnegative_array(x, "x")
+    arr = check_nonnegative("x", x)
     g, s = params.gamma, params.sigma
     if abs(g) < GAMMA_ZERO_TOL:
         out = -np.expm1(-arr / s)
@@ -65,24 +54,34 @@ def gpd_cdf(params: GpdParams, x):
         inside = t > -1.0
         out = np.ones_like(arr)
         out[inside] = -np.expm1(-np.log1p(t[inside]) / g)
-    return _maybe_scalar(out, scalar)
+    return float(out) if arr.ndim == 0 else out
 
 
 def gpd_quantile(params: GpdParams, p):
-    """Inverse of the distribution function for p in [0, 1)."""
+    """Inverse of the distribution function for p in [0, 1).
+
+    A quantile beyond the float range is inf, without a warning.
+    """
     arr = np.asarray(p, dtype=float)
-    scalar = arr.ndim == 0
     if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
         raise ValueError("p must lie in [0, 1)")
     g, s = params.gamma, params.sigma
-    if abs(g) < GAMMA_ZERO_TOL:
-        out = -s * np.log1p(-arr)
-    else:
-        out = (s / g) * np.expm1(-g * np.log1p(-arr))
-    return _maybe_scalar(out, scalar)
+    with np.errstate(over="ignore"):
+        if abs(g) < GAMMA_ZERO_TOL:
+            out = -s * np.log1p(-arr)
+        else:
+            out = (s / g) * np.expm1(-g * np.log1p(-arr))
+    return float(out) if arr.ndim == 0 else out
 
 
 def gpd_sample(params: GpdParams, count: int, seed: int) -> np.ndarray:
-    """``count`` inverse-transform draws, deterministic given the seed."""
+    """``count`` inverse-transform draws, deterministic given the seed; a
+    law whose draws leave the float range is rejected."""
     count = check_integer("count", count, 1)
-    return gpd_quantile(params, generator(seed).random(count))
+    draws = gpd_quantile(params, generator(seed).random(count))
+    if not np.isfinite(draws).all():
+        raise ValueError(
+            f"a draw of the GPD with gamma={params.gamma} and sigma={params.sigma} "
+            "exceeds the float range"
+        )
+    return draws

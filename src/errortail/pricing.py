@@ -48,7 +48,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .rng import check_integer, generator
+from .rng import check_integer, check_nonnegative, generator
 from .textio import BLOCK_ROWS, block_rows, line_of, read_table, write_table
 
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
@@ -168,14 +168,25 @@ def _tree_coefficients(params: np.ndarray, steps: int):
 def _check_no_arbitrage(
     params: np.ndarray, steps: int, row_label=lambda row: f"row {row}"
 ) -> None:
-    """Reject the first contract whose up-probability lies outside [0, 1]."""
-    prob_up = _tree_coefficients(params, steps)[1]
+    """Reject the first contract whose up-probability lies outside [0, 1].
+
+    A contract whose up factor rounds to 1 (vol * sqrt(dt) below the float
+    resolution) has no up-probability, since up - down is 0: its tree is
+    named degenerate.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up, prob_up = _tree_coefficients(params, steps)[:2]
     bad = np.flatnonzero(~((prob_up >= 0.0) & (prob_up <= 1.0)))
     if bad.size:
+        row = bad[0]
+        reason = (
+            "the up factor rounds to 1, so the tree is degenerate"
+            if up[row] == 1.0
+            else "the discretization admits arbitrage for these parameters"
+        )
         raise ValueError(
-            f"{row_label(bad[0])}: risk-neutral up-probability outside [0, 1] for "
-            f"contract {params[bad[0]].tolist()} at {steps} steps; the "
-            "discretization admits arbitrage for these parameters"
+            f"{row_label(row)}: risk-neutral up-probability outside [0, 1] for "
+            f"contract {params[row].tolist()} at {steps} steps; {reason}"
         )
 
 
@@ -336,26 +347,12 @@ def sample_uniform(box: DomainBox, count: int, seed: int) -> list[OptionContract
 PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 
-def check_prices(prices, row_label=lambda row: f"row {row}") -> np.ndarray:
-    """Prices as a float array: the price rule of the priced CSV, every
-    price finite and nonnegative. An error names ``row_label`` of the first
-    offending row."""
-    prices = np.asarray(prices, dtype=float)
-    bad = np.flatnonzero(~((prices >= 0.0) & (prices < math.inf)))
-    if bad.size:
-        raise ValueError(
-            f"{row_label(bad[0])}: price must be finite and nonnegative, "
-            f"got {float(prices[bad[0]])}"
-        )
-    return prices
-
-
 def write_priced_csv(path, contracts, prices) -> None:
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``,
     formatting one block of ``BLOCK_ROWS`` rows at a time; the prices pass
-    :func:`check_prices`, the rule :func:`read_priced_csv` reads them with."""
+    the rule :func:`read_priced_csv` reads them with."""
     terms = contract_terms(contracts)
-    prices = check_prices(prices)
+    prices = check_nonnegative("price", prices)
     if prices.shape != (len(terms),):
         raise ValueError("contracts and prices must have equal length")
     rows = (
@@ -371,4 +368,4 @@ def read_priced_csv(path) -> tuple[np.ndarray, np.ndarray]:
     is named by its line."""
     table = read_table(path, PRICED_CSV_HEADER)
     line = lambda row: f"{path}: line {line_of(path, row)}"
-    return contract_terms(table[:, :5], line), check_prices(table[:, 5], line)
+    return contract_terms(table[:, :5], line), check_nonnegative("price", table[:, 5], line)

@@ -1,4 +1,4 @@
-"""Deterministic random number generation and the package's integer rule.
+"""Deterministic random number generation and the package's two value rules.
 
 Every stochastic routine draws from a PCG64 generator seeded explicitly by
 the caller, so identical seeds give bit-identical streams. Pipeline stages
@@ -10,11 +10,15 @@ Every count, seed, ``k`` and ``workers`` of the package passes one integer
 rule, :func:`check_integer`; :func:`generator` applies it to its seed,
 with a minimum of 0. A master or training seed may be negative: it reaches
 a generator only through :func:`stage_seed`.
+
+Prices, absolute errors and GPD levels, which must be finite and
+nonnegative, pass one rule, :func:`check_nonnegative`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 
 import numpy as np
@@ -30,6 +34,19 @@ def check_integer(name: str, value, minimum: int | None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_nonnegative(name: str, values, row_label=lambda row: f"row {row}") -> np.ndarray:
+    """``values`` as a float array, if each is finite and nonnegative. An
+    error names ``row_label`` of the first offender, in flat order."""
+    values = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
+    if bad.size:
+        raise ValueError(
+            f"{row_label(bad[0])}: {name} must be finite and nonnegative, "
+            f"got {float(values.flat[bad[0]])}"
+        )
+    return values
 
 
 def generator(seed: int) -> np.random.Generator:

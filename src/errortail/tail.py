@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import check_integer
+from .rng import check_integer, check_nonnegative
 from .textio import block_rows, line_of, read_table, write_table
 
 LN2 = math.log(2.0)
@@ -65,7 +65,8 @@ class DegenerateSampleError(ValueError):
 class ErrorSample:
     """A sorted collection of nonnegative absolute errors.
 
-    The constructor sorts its input into a read-only ``values`` array.
+    The constructor checks its input, naming a row in the caller's order,
+    and sorts it into a read-only ``values`` array.
     Duplicates are allowed here; only the tail fit itself rejects ties in
     the window it touches.
     """
@@ -76,10 +77,7 @@ class ErrorSample:
         arr = np.asarray(values, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("an error sample must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("error values must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("error values must be nonnegative")
+        check_nonnegative("error values", arr)
         self.values = np.sort(arr)
         self.values.flags.writeable = False
         self._moments_of = None
@@ -322,10 +320,5 @@ def write_error_csv(path, sample: ErrorSample, comments: dict | None = None) -> 
 def read_error_csv(path) -> ErrorSample:
     """Read a one-column ``error`` CSV, skipping ``#`` comment lines."""
     values = read_table(path, "error")[:, 0]
-    bad = np.flatnonzero(~((values >= 0.0) & (values < math.inf)))
-    if bad.size:
-        raise ValueError(
-            f"{path}: line {line_of(path, bad[0])}: error values must be finite and "
-            f"nonnegative, got {float(values[bad[0]])!r}"
-        )
-    return ErrorSample(values)
+    line = lambda row: f"{path}: line {line_of(path, row)}"
+    return ErrorSample(check_nonnegative("error values", values, line))

@@ -39,10 +39,18 @@ def block_rows(array: np.ndarray) -> Iterator:
 def write_table(
     path, header: str, rows: Iterable[str], comments: dict | None = None
 ) -> None:
-    """Write ``# key=value`` comment lines, the header, then one row per line."""
+    """Write ``# key=value`` comment lines, the header, then one row per line.
+
+    A comment whose key or value holds a line break is rejected before the
+    file is opened: its second line would be read as the header.
+    """
+    comments = [f"{key}={value}" for key, value in (comments or {}).items()]
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"a comment must fit on one line, got {comment!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (comments or {}).items():
-            fh.write(f"# {key}={value}\n")
+        for comment in comments:
+            fh.write(f"# {comment}\n")
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")

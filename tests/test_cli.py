@@ -50,6 +50,16 @@ class TestPrice:
         assert info.value.code == 2
         assert "--spot" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_degenerate_tree(self, capsys):
+        code, out, err = run_cli(
+            capsys, "price", "-K", "1", "-T", "12", "-r", "0.02", "-q", "0",
+            "--volatility", "1e-20",
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: contract: risk-neutral up-probability outside [0, 1]")
+        assert err.endswith("; the up factor rounds to 1, so the tree is degenerate\n")
+
     def test_rejects_bad_contract(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -212,6 +222,20 @@ class TestGpdSample:
         assert float(fields["xstar_hat"]) == pytest.approx(2.0, abs=0.3)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma, sigma", [("5", "1e307"), ("0", "1e308")])
+    def test_draws_beyond_the_float_range_are_named(self, capsys, tmp_path, gamma, sigma):
+        code, out, err = run_cli(
+            capsys, "gpd-sample", "--gamma", gamma, "--sigma", sigma, "--count", "50",
+            "--seed", "1", "--out", str(tmp_path / "g.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: a draw of the GPD with gamma={float(gamma)} and sigma={float(sigma)} "
+            "exceeds the float range\n"
+        )
+        assert not (tmp_path / "g.csv").exists()
+
     def test_negative_seed_is_named(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "gpd-sample", "--gamma", "-0.5", "--sigma", "1", "--count", "3",
@@ -275,6 +299,25 @@ class TestTrainAndErrors:
             outputs.append((tmp_path / name).read_bytes())
         assert outputs[0] == outputs[1]
         assert read_error_csv(tmp_path / "first.csv").n == len(contracts)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r"])
+    def test_errors_rejects_a_line_break_in_a_comment(self, capsys, tmp_path, newline):
+        # the model's path is a comment of errors.csv: a line break in it
+        # would turn its tail into the table's header
+        contracts = sample_uniform(C_TRAIN, 4, seed=6)
+        data_path = tmp_path / "test.csv"
+        write_priced_csv(data_path, contracts, price_contracts(contracts, steps=20))
+        model_path = tmp_path / f"m{newline}x.json"
+        save_model(init_model([5, 4, 1], seed=7), model_path)
+        out_path = tmp_path / "errors.csv"
+        code, out, err = run_cli(
+            capsys,
+            "errors", "--model", str(model_path), "--data", str(data_path),
+            "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: a comment must fit on one line, got {f'model={model_path}'!r}\n"
+        assert not out_path.exists()
 
     def test_errors_rejects_non_object_model(self, capsys, tmp_path):
         model_path = tmp_path / "m.json"

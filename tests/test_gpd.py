@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,22 @@ class TestQuantile:
         for p in (-0.01, 1.0, 1.5):
             with pytest.raises(ValueError, match=r"\[0, 1\)"):
                 gpd_quantile(params, p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "params", [GpdParams(5.0, 1e307), GpdParams(1e300, 1.0), GpdParams(0.0, 1e308)]
+    )
+    def test_quantile_beyond_the_float_range_is_inf_without_warning(self, params):
+        p = np.array([0.0, 0.5, 0.99])
+        out = gpd_quantile(params, p)
+        assert out[0] == 0.0 and np.all(np.isposinf(out[2:]))
+        assert gpd_quantile(params, 0.99) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_beyond_the_float_range_names_the_law(self):
+        message = "a draw of the GPD with gamma=5.0 and sigma=1e+307 exceeds the float range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gpd_sample(GpdParams(5.0, 1e307), 50, seed=1)
 
     def test_round_trip_on_grid(self):
         p = np.arange(0.0, 1.0, 0.01)

@@ -223,6 +223,21 @@ class TestTreePricer:
         with pytest.raises(ValueError, match="probability"):
             crr_american_put(contract, 12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms", [
+        pytest.param((1.0, 12.0, 0.02, 0.0, 1e-20), id="tiny-vol"),
+        pytest.param((1.0, 1e-300, 0.02, 0.0, 0.2), id="tiny-maturity"),
+    ])
+    def test_rejects_degenerate_tree_by_row_without_warning(self, terms):
+        # vol * sqrt(dt) below the float resolution: the up factor rounds to
+        # 1, up - down is 0 and the up-probability is undefined
+        degenerate = "the up factor rounds to 1, so the tree is degenerate$"
+        named = rf"^row 1: .*{re.escape(str(list(terms)))} at 12 steps; {degenerate}"
+        with pytest.raises(ValueError, match=named):
+            price_contracts([VALID_TERMS, terms, VALID_TERMS], steps=12)
+        with pytest.raises(ValueError, match=f"^contract: .*{degenerate}"):
+            crr_american_put(OptionContract(*terms), 12)
+
     def test_train_box_corners_admit_no_arbitrage(self):
         # every corner of the training box keeps the up-probability in [0, 1]
         # once the tree has at least monthly steps

@@ -8,7 +8,7 @@ from errortail.cli import _read_fit_file
 from errortail.experiment import FIGURE_HEADER, load_config
 from errortail.pricing import PRICED_CSV_HEADER, read_priced_csv
 from errortail.tail import read_error_csv
-from errortail.textio import BLOCK_ROWS, read_table
+from errortail.textio import BLOCK_ROWS, read_table, write_table
 
 
 def read_figure_csv(path):
@@ -117,3 +117,18 @@ def test_reader_names_the_offending_line(reader, text, message, tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         reader(path)
+
+
+@pytest.mark.parametrize("comments", [
+    pytest.param({"model": "m\nx.json"}, id="newline-in-value"),
+    pytest.param({"model": "m\rx.json"}, id="carriage-return-in-value"),
+    pytest.param({"mo\ndel": "m.json"}, id="newline-in-key"),
+])
+def test_writer_rejects_a_comment_that_breaks_the_line(comments, tmp_path):
+    # the text after the break would be read as the header
+    path = tmp_path / "table.csv"
+    (key, value), = comments.items()
+    message = f"a comment must fit on one line, got {f'{key}={value}'!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_table(path, "error", ["0.5"], {"ok": 1, **comments})
+    assert not path.exists()
