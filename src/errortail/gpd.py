@@ -43,24 +43,27 @@ class GpdParams:
 def gpd_cdf(params: GpdParams, x):
     """Distribution function H at x >= 0.
 
-    Returns 1 exactly at and beyond the upper endpoint when gamma < 0.
+    Returns 1 exactly at and beyond the upper endpoint when gamma < 0, and
+    where x / sigma leaves the float range, without a warning.
     """
     arr = check_nonnegative("x", x)
     g, s = params.gamma, params.sigma
-    if abs(g) < GAMMA_ZERO_TOL:
-        out = -np.expm1(-arr / s)
-    else:
-        t = g * arr / s
-        inside = t > -1.0
-        out = np.ones_like(arr)
-        out[inside] = -np.expm1(-np.log1p(t[inside]) / g)
+    with np.errstate(over="ignore"):  # x / sigma = inf gives H = 1
+        if abs(g) < GAMMA_ZERO_TOL:
+            out = -np.expm1(-arr / s)
+        else:
+            t = g * arr / s
+            inside = t > -1.0
+            out = np.ones_like(arr)
+            out[inside] = -np.expm1(-np.log1p(t[inside]) / g)
     return float(out) if arr.ndim == 0 else out
 
 
 def gpd_quantile(params: GpdParams, p):
     """Inverse of the distribution function for p in [0, 1).
 
-    A quantile beyond the float range is inf, without a warning.
+    A quantile beyond the float range is inf, and the quantile at 0 is 0,
+    without a warning.
     """
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= 1.0) or not np.all(np.isfinite(arr)):
@@ -69,6 +72,10 @@ def gpd_quantile(params: GpdParams, p):
     with np.errstate(over="ignore"):
         if abs(g) < GAMMA_ZERO_TOL:
             out = -s * np.log1p(-arr)
+        elif math.isinf(s / g):
+            # inf * expm1(0) at p = 0 would be nan
+            with np.errstate(invalid="ignore"):
+                out = np.where(arr == 0.0, 0.0, (s / g) * np.expm1(-g * np.log1p(-arr)))
         else:
             out = (s / g) * np.expm1(-g * np.log1p(-arr))
     return float(out) if arr.ndim == 0 else out

@@ -29,6 +29,25 @@ at most 2.6 MB, more than a core's 2 MiB L2 cache: the budget was chosen by
 measurement, and budgets of 32,768 and 131,072 nodes priced within noise
 of it.
 
+Each level updates only the rows that can differ from a trivial value. Rows
+above the money, where every contract's value is 0.0 at every level, are
+never updated (the zero trim). Rows below the early-exercise boundary are
+skipped too (the exercise trim): a node whose two children hold exactly
+their intrinsic values has continuation disc K - S e^(-q dt), below its own
+intrinsic value K - S by K (1 - e^(-r dt)) - S (1 - e^(-q dt)), a margin
+that is positive inside the exercise region S <= K min(1, r/q) when r > 0.
+So once a level's rows [0, low) are exercised for every contract of a chunk,
+the next level's rows [0, low - 1) are too and keep their intrinsic values.
+The kernel applies this only to a chunk whose every contract's margin is
+far above the rounding of its arithmetic (which needs r > 0), measures
+``low`` every 16th level, and in between lets the skipped prefix shrink by
+one row a level; the kernel comment gives the argument in full. Both trims
+give the same bits as updating every node. The tree coefficients are
+computed once per contract, by the no-arbitrage check, and gathered per
+chunk with the strikes. :func:`price_contracts` orders the contracts by
+their exercise boundary at maturity in tree units, so that the contracts of
+one chunk exercise at nearly the same rows.
+
 Contracts cross between Python objects and arrays without a Python object
 per row beyond the contract itself: :func:`sample_uniform` builds its
 contracts from the columns of one block of ``textio.BLOCK_ROWS`` draws at a
@@ -54,6 +73,8 @@ from .textio import BLOCK_ROWS, block_rows, line_of, read_table, write_table
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
 CHUNK_NODES = 65_536  # terminal nodes per kernel call and per worker task
+_TRIM_MARGIN = 2.0**-40  # least (1 - disc)(1 - 1/up) the exercise trim is exact for
+_REMEASURE = 16  # levels between two measurements of the exercised rows
 
 _FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
 _POSITIVE = np.array([True, True, False, False, True])  # K, T and vol
@@ -154,28 +175,53 @@ def contracts_per_chunk(steps: int) -> int:
     return max(1, CHUNK_NODES // (steps + 1))
 
 
-def _tree_coefficients(params: np.ndarray, steps: int):
-    """Up factor, risk-neutral up-probability and one-step discount per contract."""
-    dt = (params[:, 1] / 12.0) / steps
-    r, q, vol = params[:, 2], params[:, 3], params[:, 4]
-    up = np.exp(vol * np.sqrt(dt))
+def _tree_coefficients(params: np.ndarray, steps: int) -> np.ndarray:
+    """Dollar strike, up factor, risk-neutral up-probability and one-step
+    discount per contract, as the rows of one (4, n) array.
+
+    The rows are computed in place, with one temporary of n values, since
+    this pass sets the peak memory of a large :func:`price_contracts` call:
+    the discount row holds dt = T / 12 / steps until the others have read
+    it. Each value takes the operations of ``exp(vol * sqrt(dt))``,
+    ``(exp((r - q) dt) - down) / (up - down)`` with ``down = 1 / up``, and
+    ``exp(-r dt)``, in that order.
+    """
+    months, r, q, vol = params[:, 1:].T
+    tree = np.empty((4, len(params)))
+    strike, up, prob_up, discount = tree
+    np.multiply(params[:, 0], SPOT_REFERENCE, out=strike)
+    dt = discount
+    np.divide(months, 12.0, out=dt)
+    dt /= steps
+    np.sqrt(dt, out=up)
+    np.multiply(vol, up, out=up)
+    np.exp(up, out=up)
+    np.subtract(r, q, out=prob_up)
+    prob_up *= dt
+    np.exp(prob_up, out=prob_up)
+    np.multiply(r, dt, out=discount)  # -(r dt) is (-r) dt exactly
+    np.negative(discount, out=discount)
+    np.exp(discount, out=discount)
     down = 1.0 / up
-    growth = np.exp((r - q) * dt)
-    prob_up = (growth - down) / (up - down)
-    return up, prob_up, np.exp(-r * dt)
+    prob_up -= down
+    np.subtract(up, down, out=down)
+    prob_up /= down
+    return tree
 
 
 def _check_no_arbitrage(
     params: np.ndarray, steps: int, row_label=lambda row: f"row {row}"
-) -> None:
-    """Reject the first contract whose up-probability lies outside [0, 1].
+) -> np.ndarray:
+    """The rows of :func:`_tree_coefficients`, once no contract's
+    up-probability lies outside [0, 1]; else reject the first such contract.
 
     A contract whose up factor rounds to 1 (vol * sqrt(dt) below the float
     resolution) has no up-probability, since up - down is 0: its tree is
     named degenerate.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        up, prob_up = _tree_coefficients(params, steps)[:2]
+        tree = _tree_coefficients(params, steps)
+    up, prob_up = tree[1:3]
     bad = np.flatnonzero(~((prob_up >= 0.0) & (prob_up <= 1.0)))
     if bad.size:
         row = bad[0]
@@ -188,15 +234,16 @@ def _check_no_arbitrage(
             f"{row_label(row)}: risk-neutral up-probability outside [0, 1] for "
             f"contract {params[row].tolist()} at {steps} steps; {reason}"
         )
+    return tree
 
 
-def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
+def _crr_put_batch(tree: np.ndarray, steps: int) -> np.ndarray:
     """Backward induction over one shared step count, one contract per column.
 
-    The contracts must pass :func:`_check_no_arbitrage` at ``steps``.
+    ``tree`` holds the rows of :func:`_tree_coefficients`, one column per
+    contract, for contracts that pass :func:`_check_no_arbitrage` at ``steps``.
     """
-    strike = params[:, 0] * SPOT_REFERENCE
-    up, prob_up, discount = _tree_coefficients(params, steps)
+    strike, up, prob_up, discount = tree
     pu = discount * prob_up
     pd = discount * (1.0 - prob_up)
 
@@ -204,24 +251,21 @@ def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
     # intrinsic values strike - S0 * up^(k - steps) of every other k from
     # first = steps - i on, each built in place from one power, so every node
     # is exact (no drift from repeated multiplication). The rows k are kept
-    # as two tables, even k and odd k, so that level i reads the contiguous
-    # block parity[first % 2][first // 2:] and not a stride-2 slice. The
-    # exponents are written into each table and raised in place: numpy's
-    # power takes exact shortcuts (1/x, x*x) for an exponent of -1, 1 or 2
-    # that is constant along its inner loop, and whether a broadcast exponent
-    # is constant there depends on the chunk width, so a broadcast exponent
-    # would make the bits of those rows depend on the width.
+    # as two tables, even k and odd k, the two blocks of one array, so that
+    # level i reads the contiguous block parity[first % 2][first // 2:] and
+    # not a stride-2 slice. The exponents are written into the array and
+    # raised in place: numpy's power takes exact shortcuts (1/x, x*x) for an
+    # exponent of -1, 1 or 2 that is constant along its inner loop, and
+    # whether a broadcast exponent is constant there depends on the chunk
+    # width, so a broadcast exponent would make the bits of those rows depend
+    # on the width.
     offsets = np.arange(-steps, steps + 1)
-    parity = []
-    for start in (0, 1):
-        exponents = offsets[start::2, None]
-        table = np.empty((len(exponents), len(up)))
-        table[...] = exponents
-        np.power(up, table, out=table)
-        np.multiply(table, SPOT_REFERENCE, out=table)
-        np.subtract(strike, table, out=table)
-        parity.append(table)
-    value = np.maximum(parity[0], 0.0)
+    table = np.empty((2 * steps + 1, len(up)))
+    table[...] = np.concatenate((offsets[0::2], offsets[1::2]))[:, None]
+    np.power(up, table, out=table)
+    np.multiply(table, SPOT_REFERENCE, out=table)
+    np.subtract(strike, table, out=table)
+    parity = (table[: steps + 1], table[steps + 1 :])
 
     # Zero trim. Terminal node j is the lowest-stock descendant of node
     # (i, j), so if j is out of the money for a contract, node (i, j) has
@@ -230,8 +274,10 @@ def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
     # in-the-money terminal rows are a prefix, and so is their union over
     # contracts; rows j >= itm, the length of that union, stay 0.0 and are
     # never updated. Every other node takes the same operations in the same
-    # order as without the trim, so the bits do not change.
-    itm = int(np.count_nonzero(value.any(axis=1)))
+    # order as without the trim, so the bits do not change. Only rows up to
+    # itm, the first zero row, are ever read, so only they are kept.
+    itm = int(np.count_nonzero(parity[0].max(axis=1) > 0.0))
+    value = np.maximum(parity[0][: itm + 1], 0.0)
     # No level updates more than min(steps, itm) rows. The coefficients are
     # broadcast once into contiguous arrays of that many rows, so both
     # multiplies run on same-shape operands; a (contracts,) row broadcast
@@ -239,15 +285,52 @@ def _crr_put_batch(params: np.ndarray, steps: int) -> np.ndarray:
     pu_rows, pd_rows, scratch = np.empty((3, min(steps, itm), len(pu)))
     pu_rows[...] = pu
     pd_rows[...] = pd
+
+    # Exercise trim. Let a node at stock price S have both children at their
+    # intrinsic values K - S u and K - S / u. Its continuation is
+    # pu (K - S u) + pd (K - S / u) = disc K - a S, with disc the one-step
+    # discount and a = disc (p u + (1 - p) / u) = e^(-q dt), below its own
+    # intrinsic value K - S by the margin m = K (1 - disc) - S (1 - a). So m
+    # is positive in the exercise region S <= K min(1, r/q) when r > 0, and
+    # if the up child is itself exercised, m >= K (1 - disc) (1 - 1/u): that
+    # child's value K - S u is nonnegative and at least its continuation,
+    # itself at least disc K - a S u, so S u <= K and S u (1 - a) <=
+    # K (1 - disc). Rounding (the four ufuncs, the intrinsic table, the up
+    # child's own comparison) moves the two sides by under 24 units of
+    # roundoff (2^-53) of K. So where every contract of the chunk has
+    # (1 - disc) (1 - 1/u) >= 2^-40, some 300 times that, the maximum returns
+    # the intrinsic value bit for bit. The guard needs r > 0; a chunk with a
+    # tiny or nonpositive r fails it and runs untrimmed.
+    # If rows [0, low) of a level are exercised for every contract, the next
+    # level skips rows [0, low - 1) and writes the intrinsic value into row
+    # low - 2, the one skipped row the level after it reads. The rows are
+    # compared with their intrinsic values every _REMEASURE levels from the
+    # level below the terminal one (when q > r, a payoff row above K r/q is
+    # not exercised in this sense); in between, the skipped prefix shrinks by
+    # one row a level, so the bookkeeping costs O(1) a level.
+    trim = steps > 1 and bool(((1.0 - discount) * (1.0 - 1.0 / up) >= _TRIM_MARGIN).all())
+    measure = steps - 1 if trim else -1  # the next level to measure
+    skip = 0
     for level in range(steps - 1, -1, -1):
         nodes = min(level + 1, itm)
-        node_value = value[:nodes]
-        np.multiply(pu_rows[:nodes], value[1 : nodes + 1], out=scratch[:nodes])
-        np.multiply(pd_rows[:nodes], node_value, out=node_value)
-        np.add(scratch[:nodes], node_value, out=node_value)
+        rows = nodes - skip
         first = steps - level
-        block = first // 2
-        np.maximum(node_value, parity[first % 2][block : block + nodes], out=node_value)
+        half = parity[first % 2]
+        start = first // 2 + skip
+        intrinsic = half[start : start + rows]
+        node_value = value[skip:nodes]
+        part = scratch[:rows]
+        np.multiply(pu_rows[:rows], value[skip + 1 : nodes + 1], out=part)
+        np.multiply(pd_rows[:rows], node_value, out=node_value)
+        np.add(part, node_value, out=node_value)
+        np.maximum(node_value, intrinsic, out=node_value)
+        if skip:
+            value[skip - 1] = half[start - 1]
+        if level == measure:
+            exercised = (node_value == intrinsic).all(axis=1)
+            skip += rows if exercised.all() else int(exercised.argmin())
+            measure -= _REMEASURE
+        skip = max(skip - 1, 0)
     return value[0].copy()
 
 
@@ -258,9 +341,8 @@ def crr_american_put(contract: OptionContract, steps: int = DEFAULT_TREE_STEPS) 
     by the dollar strike.
     """
     steps = check_integer("steps", steps, 1)
-    params = contract_terms([contract])
-    _check_no_arbitrage(params, steps, lambda row: "contract")
-    return float(_crr_put_batch(params, steps)[0])
+    tree = _check_no_arbitrage(contract_terms([contract]), steps, lambda row: "contract")
+    return float(_crr_put_batch(tree, steps)[0])
 
 
 def price_contracts(
@@ -277,17 +359,14 @@ def price_contracts(
     steps = check_integer("steps", steps, 1)
     workers = 1 if workers is None else check_integer("workers", workers, 1)
     params = contract_terms(contracts)
-    _check_no_arbitrage(params, steps)
-    # Sorting by moneyness log K / (vol sqrt(T)) orders contracts by their
-    # count of in-the-money terminal nodes, so each chunk's zero trim is
-    # tight. Columns never mix, so the order does not change the bits.
-    moneyness = np.log(params[:, 0]) / (params[:, 4] * np.sqrt(params[:, 1]))
-    order = np.argsort(moneyness)
+    tree = _check_no_arbitrage(params, steps)
+    order = _chunk_order(params)
+    del params  # the chunks are gathered from the tree alone
     size = contracts_per_chunk(steps)
-    starts = range(0, len(params), size)
+    starts = range(0, len(order), size)
     # each chunk is gathered when it is priced, and its prices put in place
-    chunks = (params[order[i : i + size]] for i in starts)
-    prices = np.empty(len(params))
+    chunks = (tree[:, order[i : i + size]] for i in starts)
+    prices = np.empty(len(order))
 
     def place(parts) -> None:
         for i, part in zip(starts, parts):
@@ -301,6 +380,28 @@ def price_contracts(
         with ProcessPoolExecutor(max_workers=processes) as pool:
             place(pool.map(_crr_put_batch, chunks, repeat(steps)))
     return prices
+
+
+def _chunk_order(params: np.ndarray) -> np.ndarray:
+    """Contracts sorted by their exercise boundary at maturity in tree units,
+    log(K min(1, r/q)) / (vol sqrt(T)), and first where r <= 0.
+
+    Neighbours in this order exercise at nearly the same tree rows, so each
+    chunk's exercise trim is tight, and the contracts with r <= 0, which no
+    chunk trims for exercise, share chunks. (Moneyness order keeps the zero
+    trim tighter, which wins only on shallow trees.) Columns never mix, so
+    the order does not change the bits.
+    """
+    strike, months, r, q, vol = params.T
+    positive = r > 0.0
+    key = np.ones(len(params))
+    np.divide(r, q, out=key, where=positive & (q > r))
+    key *= strike
+    np.log(key, out=key)
+    key /= vol
+    key /= np.sqrt(months)
+    key[~positive] = -np.inf
+    return np.argsort(key)
 
 
 def _norm_cdf(x: float) -> float:

@@ -67,6 +67,13 @@ class TestCdf:
                 close = gpd_cdf(GpdParams(gamma, sigma), x)
                 assert np.max(np.abs(close - base)) <= 1e-7
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, -0.5])
+    def test_one_without_warning_where_x_over_sigma_overflows(self, gamma):
+        params = GpdParams(gamma, 1e-310)
+        assert gpd_cdf(params, 1e10) == 1.0
+        assert np.array_equal(gpd_cdf(params, np.array([0.0, 1e10])), [0.0, 1.0])
+
 
 class TestQuantile:
     def test_zero_at_p_zero(self):
@@ -95,6 +102,30 @@ class TestQuantile:
         out = gpd_quantile(params, p)
         assert out[0] == 0.0 and np.all(np.isposinf(out[2:]))
         assert gpd_quantile(params, 0.99) == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-11, -1e-11])
+    def test_zero_at_p_zero_where_sigma_over_gamma_overflows(self, gamma):
+        params = GpdParams(gamma, 1e300)
+        assert gpd_quantile(params, 0.0) == 0.0
+        out = gpd_quantile(params, np.array([0.0, 0.5]))
+        assert out[0] == 0.0 and out[1] == math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_quantiles_keep_the_bits_of_the_closed_form(self):
+        # the closed form as first written, frozen; it gave nan at p = 0
+        # where sigma / gamma overflows, and the quantile there is 0
+        p = np.random.default_rng(3).random(1000)
+        p[0] = 0.0
+        for params in PARAM_GRID + [GpdParams(1e-11, 1e300), GpdParams(5.0, 1e307)]:
+            g, s = params.gamma, params.sigma
+            with np.errstate(over="ignore", invalid="ignore"):
+                if g == 0.0:
+                    frozen = -s * np.log1p(-p)
+                else:
+                    frozen = (s / g) * np.expm1(-g * np.log1p(-p))
+            out = gpd_quantile(params, p)
+            assert out[0] == 0.0 and np.array_equal(out[1:], frozen[1:])
 
     @pytest.mark.filterwarnings("error")
     def test_sample_beyond_the_float_range_names_the_law(self):

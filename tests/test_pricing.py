@@ -66,9 +66,19 @@ def row_major_oracle(params: np.ndarray, steps: int) -> np.ndarray:
 
 
 def mixed_moneyness_contracts(steps: int) -> np.ndarray:
-    """More than two chunks at ``steps`` in shuffled order: the training box,
-    deep in-the-money puts, and enough deep out-of-the-money puts (price
-    exactly 0.0) that one chunk sorted by moneyness has no node in the money."""
+    """More than two chunks at ``steps`` in shuffled order:
+
+    - the training box, and deep in-the-money puts;
+    - enough deep out-of-the-money puts (price exactly 0.0) that one chunk
+      has no node in the money;
+    - the exercise trim's thinnest margins: deep in-the-money puts with
+      q > r whose exercise boundary K r/q lies near the spot, at vol 0.01
+      and four- to five-year maturities, and deep in-the-money puts with
+      q = 0 whose rate puts the trim's guard just above its bound;
+    - more than a chunk of puts with r <= 0, deep in-the-money ones among
+      them, which sort first and are never trimmed for exercise, and beside
+      them puts with r from 1e-300 to 1e-8.
+    """
     g = generator(17)
     chunk = contracts_per_chunk(steps)
     box = contract_terms(sample_uniform(C_TRAIN, chunk, seed=18))
@@ -77,7 +87,35 @@ def mixed_moneyness_contracts(steps: int) -> np.ndarray:
     deep_out[:, 4] = g.uniform(0.05, 0.1, len(deep_out))
     deep_in = contract_terms(sample_uniform(C_TRAIN, 40, seed=20))
     deep_in[:, 0] = g.uniform(2.0, 4.0, len(deep_in))
-    contracts = np.concatenate([box, deep_out, deep_in])
+    # q - r stays below vol / sqrt(T), so even a one-step tree admits no arbitrage
+    thin = np.empty((60, 5))
+    thin[:, 2] = g.uniform(0.001, 0.0015, len(thin))
+    thin[:, 3] = thin[:, 2] * g.uniform(2.0, 3.5, len(thin))
+    thin[:, 0] = thin[:, 3] / thin[:, 2] * g.uniform(0.97, 1.03, len(thin))
+    thin[:, 1] = g.uniform(48.0, 60.0, len(thin))
+    thin[:, 4] = 0.01
+    # q = 0, so every deep in-the-money node is exercised, by the margin
+    # K (1 - disc) ~ K r dt: r puts the trim's guard (1 - disc)(1 - 1/up),
+    # about r dt vol sqrt(dt), just above its bound of 2^-40
+    edge = np.empty((40, 5))
+    edge[:, 0] = g.uniform(2.0, 4.0, len(edge))
+    edge[:, 1] = g.uniform(48.0, 60.0, len(edge))
+    edge[:, 3] = 0.0
+    edge[:, 4] = 0.01
+    dt = edge[:, 1] / 12.0 / steps
+    edge[:, 2] = 2.0 ** g.uniform(-39.0, -36.0, len(edge)) / (dt * 0.01 * np.sqrt(dt))
+    tiny_rate = contract_terms(sample_uniform(C_TRAIN, 40, seed=21))
+    tiny_rate[:, 2] = 10.0 ** g.uniform(-300.0, -8.0, len(tiny_rate))
+    no_rate = contract_terms(sample_uniform(C_TRAIN, chunk + 3, seed=22))
+    no_rate[:, 2] = g.uniform(-0.02, 0.0, len(no_rate))
+    no_rate[::2, 2] = 0.0
+    no_rate[:, 3] = g.uniform(0.0, 0.02, len(no_rate))
+    # with r = q = 0 a deep in-the-money node's continuation equals its
+    # intrinsic value up to rounding, so trimming these would change bits
+    flat = contract_terms(sample_uniform(C_TRAIN, 40, seed=23))
+    flat[:, 0] = g.uniform(2.5, 4.0, len(flat))
+    flat[:, 2:4] = 0.0
+    contracts = np.concatenate([box, deep_out, deep_in, thin, edge, tiny_rate, no_rate, flat])
     return contracts[g.permutation(len(contracts))]
 
 
@@ -250,16 +288,15 @@ class TestTreePricer:
         assert np.all(prices >= 0.0)
 
     def test_arbitrage_is_checked_in_caller_order_before_any_pricing(self, monkeypatch):
-        # two bad rows in different chunks; the later row sorts first by
-        # moneyness (lower strike), so a per-chunk check would name it
+        # two bad rows in different chunks; the later row (r = 0) sorts
+        # first, so a per-chunk check would name it
         steps = 500
         chunk = contracts_per_chunk(steps)
         terms = contract_terms(random_contracts(C_TEST, 3 * chunk, seed=12))
         early, late = 5, len(terms) - 5
-        terms[early] = (1.4, 12.0, 0.0, 50.0, 0.1)
+        terms[early] = (1.4, 12.0, 50.0, 0.0, 0.1)
         terms[late] = (0.6, 12.0, 0.0, 50.0, 0.1)
-        order = np.argsort(np.log(terms[:, 0]) / (terms[:, 4] * np.sqrt(terms[:, 1])))
-        rank = np.argsort(order)
+        rank = np.argsort(pricing._chunk_order(terms))
         assert rank[late] // chunk < rank[early] // chunk
 
         def fail(*args, **kwargs):
@@ -267,7 +304,7 @@ class TestTreePricer:
 
         monkeypatch.setattr(pricing, "ProcessPoolExecutor", fail)
         monkeypatch.setattr(pricing, "_crr_put_batch", fail)
-        message = rf"^row {early}: .*probability .*\[1\.4, 12\.0, 0\.0, 50\.0, 0\.1\]"
+        message = rf"^row {early}: .*probability .*\[1\.4, 12\.0, 50\.0, 0\.0, 0\.1\]"
         for workers in (None, 2):
             with pytest.raises(ValueError, match=message):
                 price_contracts(terms, steps, workers=workers)
