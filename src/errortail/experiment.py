@@ -13,11 +13,19 @@ Every stochastic stage derives its seed from the master seed plus a fixed
 label, so changing the number of test sets never changes the training
 data. All output files embed the resolved configuration and contain no
 timestamps, which makes reruns byte-identical.
+
+The tree prices consecutive whole sets together: the training set and the
+test sets, in run order, are grouped up to ``PRICING_GROUP`` contracts (a
+larger set alone), and each group is one ``price_contracts`` call, so its
+chunks share one boundary sort and, with workers, one pool. The kernel
+never mixes contracts, so every price has the bits of pricing its set
+alone.
 """
 
 from __future__ import annotations
 
 import io
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +54,7 @@ CONFIG_VERSION = 1
 REPORT_VERSION = 1
 FIGURE_HEADER = "x,evt_mean,evt_lo,evt_hi,empirical,markov_m2,markov_m4"
 FIGURE_POINTS = 40
+PRICING_GROUP = 2**16  # contracts per price_contracts call of a run, unless one set is larger
 
 
 @dataclass(frozen=True)
@@ -223,9 +232,8 @@ def run_experiment(
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    sample_seed = stage_seed(config.master_seed, "train-sample")
-    train_x = contract_terms(sample_uniform(C_TRAIN, config.train_samples, sample_seed))
-    train_prices = price_contracts(train_x, steps=config.tree_steps, workers=workers)
+    priced = _priced_sets(_sampled_sets(config), config.tree_steps, workers)
+    train_x, train_prices = next(priced)
     train_seed = stage_seed(config.master_seed, "train")
     train_cfg = replace(config.train_config, seed=train_seed)
     model, training_report = train(train_x, train_prices, config.widths, train_cfg)
@@ -233,10 +241,7 @@ def run_experiment(
     fits: list[TailFit | None] = []
     failures: list[tuple[int, str]] = []
     per_set_errors: list[ErrorSample] = []
-    for i in range(config.test_sets):
-        sample_seed = stage_seed(config.master_seed, f"test-sample-{i}")
-        x = contract_terms(sample_uniform(C_TEST, config.test_set_size, sample_seed))
-        prices = price_contracts(x, steps=config.tree_steps, workers=workers)
+    for i, (x, prices) in enumerate(priced):
         errors = error_sample(model, x, prices)
         per_set_errors.append(errors)
         try:
@@ -256,6 +261,37 @@ def run_experiment(
         out_dir / "pooled_errors.csv", pooled, comments=_config_comments(report)
     )
     return report
+
+
+def _sampled_sets(config: ExperimentConfig) -> Iterator[np.ndarray]:
+    """The training set, then each test set, as (n, 5) terms in run order."""
+    draws = [(C_TRAIN, config.train_samples, "train-sample")]
+    draws += [(C_TEST, config.test_set_size, f"test-sample-{i}") for i in range(config.test_sets)]
+    for box, count, label in draws:
+        yield contract_terms(sample_uniform(box, count, stage_seed(config.master_seed, label)))
+
+
+def _priced_sets(
+    sets: Iterable[np.ndarray], steps: int, workers: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each set with its prices, in order. Consecutive whole sets are
+    gathered up to ``PRICING_GROUP`` contracts, a larger set alone, and each
+    group is priced in one ``price_contracts`` call."""
+    group: list[np.ndarray] = []
+    for terms in sets:
+        if group and sum(map(len, group)) + len(terms) > PRICING_GROUP:
+            yield from _price_group(group, steps, workers)
+            group = []
+        group.append(terms)
+    yield from _price_group(group, steps, workers)
+
+
+def _price_group(
+    group: list[np.ndarray], steps: int, workers: int | None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    prices = price_contracts(np.vstack(group), steps=steps, workers=workers)
+    ends = np.cumsum([len(terms) for terms in group[:-1]])
+    return zip(group, np.split(prices, ends))
 
 
 def format_probability(p: float) -> str:

@@ -73,9 +73,8 @@ def gpd_quantile(params: GpdParams, p):
         if abs(g) < GAMMA_ZERO_TOL:
             out = -s * np.log1p(-arr)
         elif math.isinf(s / g):
-            # inf * expm1(0) at p = 0 would be nan
-            with np.errstate(invalid="ignore"):
-                out = np.where(arr == 0.0, 0.0, (s / g) * np.expm1(-g * np.log1p(-arr)))
+            # sigma / gamma overflows, so divide expm1 by gamma first
+            out = s * (np.expm1(-g * np.log1p(-arr)) / g)
         else:
             out = (s / g) * np.expm1(-g * np.log1p(-arr))
     return float(out) if arr.ndim == 0 else out

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from errortail import experiment
+from errortail import experiment, pricing
 from errortail.experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -22,6 +22,8 @@ from errortail.experiment import (
     write_report,
 )
 from errortail.mlp import TrainConfig, TrainingReport
+from errortail.pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
+from errortail.rng import stage_seed
 from errortail.tail import (
     ErrorSample, TailFit, exceedance_probability, markov_bound, mean_excess, tail_fit,
 )
@@ -522,6 +524,79 @@ class TestRunExperiment:
         assert keyvals["count"] == "1"
         assert sets[1]["n"] == "degenerate"
         assert int(keyvals["fitted_sets"]) == config.test_sets - 1
+
+
+class TestGroupedPricing:
+    """A run prices consecutive whole sets in one call per group of at most
+    ``PRICING_GROUP`` contracts; a larger set is priced alone."""
+
+    @pytest.mark.parametrize(
+        "budget, test_set_size, calls",
+        [
+            # the 1,500-row training set above the budget is priced alone,
+            # and the three 400-row test sets go two, then one
+            (1000, 400, [1500, 800, 400]),
+            (experiment.PRICING_GROUP, 1200, [1500 + 3 * 1200]),
+        ],
+    )
+    def test_one_call_per_group_and_each_set_keeps_its_bits(
+        self, budget, test_set_size, calls, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(experiment, "PRICING_GROUP", budget)
+        config = tiny_config(tmp_path, test_set_size=test_set_size)
+        rows, priced = [], []
+
+        def counting_price(terms, **kwargs):
+            rows.append(len(terms))
+            return price_contracts(terms, **kwargs)
+
+        def recording(fn, first):
+            # x and prices are the arguments first and first + 1
+            def wrapper(*args):
+                priced.append(args[first : first + 2])
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(experiment, "price_contracts", counting_price)
+        monkeypatch.setattr(experiment, "train", recording(experiment.train, 0))
+        monkeypatch.setattr(experiment, "error_sample", recording(experiment.error_sample, 1))
+        run_experiment(config)
+        assert rows == calls
+
+        draws = [(C_TRAIN, config.train_samples, "train-sample")] + [
+            (C_TEST, config.test_set_size, f"test-sample-{i}") for i in range(config.test_sets)
+        ]
+        assert len(priced) == len(draws)
+        for (x, prices), (box, count, label) in zip(priced, draws):
+            seed = stage_seed(config.master_seed, label)
+            alone = contract_terms(sample_uniform(box, count, seed))
+            assert same_bits(x, alone), label
+            assert same_bits(prices, price_contracts(alone, steps=config.tree_steps)), label
+
+    def test_workers_open_one_pool_per_group(self, tmp_path, monkeypatch):
+        # a fake pool counts how often it is opened; 100 contracts a chunk
+        # gives every group more than one chunk, so each call opens a pool
+        opened = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "PRICING_GROUP", 1000)
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pricing, "CHUNK_NODES", 100 * 41)  # 100 contracts at 40 steps
+        config = tiny_config(tmp_path, test_set_size=400)
+        run_experiment(config, workers=2)
+        assert opened == [2, 2, 2]  # 1,500 rows, then 800, then 400
 
 
 class TestReportOracle:

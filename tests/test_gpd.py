@@ -109,15 +109,30 @@ class TestQuantile:
         params = GpdParams(gamma, 1e300)
         assert gpd_quantile(params, 0.0) == 0.0
         out = gpd_quantile(params, np.array([0.0, 0.5]))
-        assert out[0] == 0.0 and out[1] == math.inf
+        assert out[0] == 0.0 and math.isfinite(out[1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", [1e-11, -1e-11])
+    def test_finite_quantile_where_sigma_over_gamma_overflows(self, gamma):
+        # (sigma / gamma) expm1(-gamma L) = -sigma L expm1(y) / y with
+        # L = log(1 - p) and y = -gamma L, whose factors stay in range
+        params = GpdParams(gamma, 1e300)
+        log_q = math.log1p(-0.5)
+        y = -gamma * log_q
+        want = -params.sigma * log_q * (math.expm1(y) / y)
+        assert want == pytest.approx(6.93e299, rel=1e-3)
+        assert gpd_quantile(params, 0.5) == pytest.approx(want, rel=1e-12, abs=0.0)
+        draws = gpd_sample(params, 1000, seed=4)
+        assert np.isfinite(draws).all() and draws.max() > 1e300
 
     @pytest.mark.filterwarnings("error")
     def test_quantiles_keep_the_bits_of_the_closed_form(self):
-        # the closed form as first written, frozen; it gave nan at p = 0
-        # where sigma / gamma overflows, and the quantile there is 0
+        # the closed form as first written, frozen, on every law where
+        # sigma / gamma is finite; it gave nan at p = 0 where sigma / gamma
+        # overflows, and inf for every p > 0 there (see the test above)
         p = np.random.default_rng(3).random(1000)
         p[0] = 0.0
-        for params in PARAM_GRID + [GpdParams(1e-11, 1e300), GpdParams(5.0, 1e307)]:
+        for params in PARAM_GRID + [GpdParams(5.0, 1e307), GpdParams(1e-11, 1.0)]:
             g, s = params.gamma, params.sigma
             with np.errstate(over="ignore", invalid="ignore"):
                 if g == 0.0:

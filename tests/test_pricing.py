@@ -119,6 +119,50 @@ def mixed_moneyness_contracts(steps: int) -> np.ndarray:
     return contracts[g.permutation(len(contracts))]
 
 
+def peizer_pratt(z: np.ndarray, steps: int) -> np.ndarray:
+    """Peizer-Pratt method 2 inversion: the probability h(z) of a binomial
+    law of ``steps`` trials that matches the normal law at z."""
+    t = z / (steps + 1.0 / 3.0 + 0.1 / (steps + 1.0))
+    return 0.5 + np.sign(z) * 0.5 * np.sqrt(-np.expm1(-t * t * (steps + 1.0 / 6.0)))
+
+
+def leisen_reimer_put(terms: np.ndarray, steps: int) -> np.ndarray:
+    """American puts on a Leisen-Reimer tree of an odd number of steps, one
+    contract per column: up-probability h(d2), up factor e^((r-q) dt) h(d1) /
+    h(d2) and the down factor that keeps the drift. An independent reference
+    for the CRR kernel (Leisen & Reimer 1996, Applied Mathematical Finance
+    3(4))."""
+    strike = terms[:, 0] * 100.0
+    years = terms[:, 1] / 12.0
+    r, q, vol = terms[:, 2], terms[:, 3], terms[:, 4]
+    dt = years / steps
+    spread = vol * np.sqrt(years)
+    d1 = (np.log(100.0 / strike) + (r - q + 0.5 * vol * vol) * years) / spread
+    p = peizer_pratt(d1 - spread, steps)
+    growth = np.exp((r - q) * dt)
+    up = growth * peizer_pratt(d1, steps) / p
+    down = (growth - p * up) / (1.0 - p)
+    j = np.arange(steps + 1)[:, None]
+    stock = 100.0 * np.exp(j * np.log(up) + (steps - j) * np.log(down))
+    value = np.maximum(strike - stock, 0.0)
+    # same-shape operands, so each numpy call runs one flat loop
+    pu, pd, strikes, shrink, scratch = np.empty((5, *value.shape))
+    pu[...] = np.exp(-r * dt) * p
+    pd[...] = np.exp(-r * dt) * (1.0 - p)
+    strikes[...] = strike
+    shrink[...] = 1.0 / down
+    for level in range(steps - 1, -1, -1):
+        n = level + 1
+        v, part = value[:n], scratch[:n]
+        np.multiply(pu[:n], value[1 : n + 1], out=part)
+        np.multiply(pd[:n], v, out=v)
+        v += part
+        np.multiply(stock[:n], shrink[:n], out=stock[:n])  # S u^j d^(level - j)
+        np.subtract(strikes[:n], stock[:n], out=part)
+        np.maximum(v, part, out=v)
+    return value[0].copy()
+
+
 class TestContractValidation:
     def test_rejects_nonpositive_fields(self):
         with pytest.raises(ValueError, match="strike_pct"):
@@ -350,6 +394,20 @@ class TestTreePricer:
         assert chunk >= 1
         if chunk > 1:
             assert (steps + 1) * chunk <= CHUNK_NODES
+
+
+class TestOracleError:
+    """The CRR oracle's own error on test-box contracts, against a Leisen-Reimer
+    reference extrapolated as 2 P(3201) - P(1601)."""
+
+    def test_within_its_stated_error_at_the_desk_and_paper_steps(self):
+        terms = contract_terms(sample_uniform(C_TEST, 50, seed=21))
+        coarse, fine = leisen_reimer_put(terms, 1601), leisen_reimer_put(terms, 3201)
+        assert np.abs(fine - coarse).max() <= 5e-4
+        reference = 2.0 * fine - coarse
+        for steps, bound in ((500, 1.5e-2), (1000, 6e-3)):
+            error = np.abs(price_contracts(terms, steps) - reference)
+            assert error.max() <= bound, steps
 
 
 class TestEuropeanClosedForm:
