@@ -21,6 +21,8 @@ from .textio import read_key_values
 
 # TrainConfig fields that ``train`` takes from the flags of the same name.
 _TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed")
+# the flags of ``gpd-sample`` and their types; each is also a comment line of its CSV
+_GPD_SAMPLE_FLAGS = {"gamma": float, "sigma": float, "count": int, "seed": int}
 
 
 def _fit_text(fit: tail.TailFit) -> str:
@@ -28,33 +30,34 @@ def _fit_text(fit: tail.TailFit) -> str:
 
 
 def _read_fit_file(path) -> tail.TailFit:
+    """The fit a file written by ``fit-tail --out`` holds. Each key is a
+    field of :class:`~errortail.tail.TailFit`; the derived ``sigma_u`` may be
+    left out, and if given must equal the scale the fit derives."""
     values = read_key_values(path)
-    init = [f for f in fields(tail.TailFit) if f.init]  # TailFit derives sigma_u
-    missing = [f.name for f in init if f.name not in values]
+    missing = [f.name for f in fields(tail.TailFit) if f.init and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing fit fields: {', '.join(missing)}")
+    parsers = {f.name: int if f.type == "int" else float for f in fields(tail.TailFit)}
     parsed = {}
-    for f in init:
+    for key, text in values.items():
+        if key not in parsers:
+            raise ValueError(f"{path}: unknown fit key {key!r}")
         try:
-            parsed[f.name] = exp._PARSERS[f.type](values[f.name])
+            parsed[key] = parsers[key](text)
         except ValueError:
-            raise ValueError(
-                f"{path}: field {f.name!r}: cannot parse value {values[f.name]!r}"
-            ) from None
+            raise ValueError(f"{path}: field {key!r}: cannot parse value {text!r}") from None
+    sigma_u = parsed.pop("sigma_u", None)
     try:
-        return tail.TailFit(**parsed)
+        fit = tail.TailFit(**parsed)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    if sigma_u is not None and sigma_u != fit.sigma_u:
+        raise ValueError(f"{path}: sigma_u = {sigma_u!r} is not the derived {fit.sigma_u!r}")
+    return fit
 
 
 def _cmd_price(args) -> int:
-    contract = pricing.OptionContract(
-        strike_pct=args.strike_pct,
-        maturity_months=args.maturity_months,
-        rate=args.rate,
-        dividend_yield=args.dividend_yield,
-        volatility=args.volatility,
-    )
+    contract = pricing.OptionContract(*(getattr(args, name) for name in pricing.CONTRACT_FIELDS))
     price = pricing.crr_american_put(contract, steps=args.steps)
     print(repr(price))
     return 0
@@ -110,12 +113,7 @@ def _cmd_markov(args) -> int:
 def _cmd_gpd_sample(args) -> int:
     params = GpdParams(gamma=args.gamma, sigma=args.sigma)
     draws = gpd_sample(params, args.count, args.seed)
-    comments = {
-        "gamma": repr(args.gamma),
-        "sigma": repr(args.sigma),
-        "count": args.count,
-        "seed": args.seed,
-    }
+    comments = {name: getattr(args, name) for name in _GPD_SAMPLE_FLAGS}
     tail.write_error_csv(args.out, tail.ErrorSample(draws), comments=comments)
     print(f"{args.count} draws written to {args.out}")
     return 0
@@ -148,11 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("price", help="price one American put on the tree, spot 100 USD")
-    p.add_argument("--strike-pct", "-K", type=float, required=True)
-    p.add_argument("--maturity-months", "-T", type=float, required=True)
-    p.add_argument("--rate", "-r", type=float, required=True)
-    p.add_argument("--dividend-yield", "-q", type=float, required=True)
-    p.add_argument("--volatility", type=float, required=True)
+    for name, alias in zip(pricing.CONTRACT_FIELDS, ("-K", "-T", "-r", "-q", None)):
+        flags = ("--" + name.replace("_", "-"), alias)
+        p.add_argument(*filter(None, flags), type=float, required=True)
     p.add_argument("--steps", type=int, default=pricing.DEFAULT_TREE_STEPS)
     p.set_defaults(func=_cmd_price)
 
@@ -160,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a surrogate on a priced CSV")
     p.add_argument("--data", required=True, help="CSV with header K,T,r,q,sigma,price")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--widths", type=exp.parse_widths, default=exp.ExperimentConfig().widths)
-    p.add_argument("--paper-scale", action="store_true", help="use the paper-scale widths")
+    widths = p.add_mutually_exclusive_group()
+    widths.add_argument("--widths", type=exp.parse_widths, default=exp.ExperimentConfig().widths)
+    widths.add_argument("--paper-scale", action="store_true", help="use the paper-scale widths")
     for name in _TRAIN_FLAGS:
         default = getattr(train_defaults, name)
         p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
@@ -191,10 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_markov)
 
     p = sub.add_parser("gpd-sample", help="draw synthetic tail samples")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    for name, kind in _GPD_SAMPLE_FLAGS.items():
+        p.add_argument("--" + name, type=kind, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gpd_sample)
 

@@ -32,11 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .mlp import (
-    TrainConfig, TrainingReport, check_fields, check_widths, error_sample, split_sizes, train,
-)
+from .mlp import TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
 from .pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
-from .rng import stage_seed
+from .rng import check_fields, check_integer, stage_seed
 from .tail import (
     DegenerateSampleError,
     ErrorSample,
@@ -60,7 +58,7 @@ PRICING_GROUP = 2**16  # contracts per price_contracts call of a run, unless one
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Resolved settings of one experiment run. Each count and the seed
-    declares its rule (see :func:`~errortail.mlp.check_fields`)."""
+    declares its rule (see :func:`~errortail.rng.check_fields`)."""
 
     train_samples: int = field(default=20_000, metadata={"minimum": 1})
     test_sets: int = field(default=20, metadata={"minimum": 1})
@@ -229,6 +227,7 @@ def run_experiment(
     report; ``report.txt``, ``figure1.csv`` and ``pooled_errors.csv`` land
     in ``config.output_dir``.
     """
+    workers = None if workers is None else check_integer("workers", workers, 1)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -340,17 +339,15 @@ def write_report(report: ExperimentReport, path) -> None:
     buf.write(f"final_train_mse_usd2 = {report.training.train_mse[-1]!r}\n")
     buf.write(f"final_validation_mse_usd2 = {report.training.validation_mse[-1]!r}\n")
     buf.write("\n[sets]\n")
-    buf.write("index,n,k,u,xstar_hat,gamma_hat,sigma_u,exceed_at_u_ref,mean_excess\n")
+    names = [f.name for f in fields(TailFit)]
+    buf.write(",".join(["index", *names, "exceed_at_u_ref", "mean_excess"]) + "\n")
     good_iter = iter(zip(report.exceed_at_u_ref, report.mean_excesses))
     for i, fit in enumerate(report.fits):
         if fit is None:
-            buf.write(f"{i},degenerate,,,,,,,\n")
+            buf.write(f"{i},degenerate" + "," * (len(names) + 1) + "\n")
             continue
-        exceed, excess = next(good_iter)
-        buf.write(
-            f"{i},{fit.n},{fit.k},{fit.u!r},{fit.xstar_hat!r},{fit.gamma_hat!r},"
-            f"{fit.sigma_u!r},{exceed!r},{excess!r}\n"
-        )
+        values = [getattr(fit, name) for name in names] + list(next(good_iter))
+        buf.write(",".join([str(i), *map(repr, values)]) + "\n")
     buf.write("\n[failures]\n")
     buf.write(f"count = {len(report.failures)}\n")
     for i, message in report.failures:

@@ -17,27 +17,24 @@ to the exponential branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import check_integer, check_nonnegative, generator
+from .rng import check_fields, check_integer, check_nonnegative, generator
 
 GAMMA_ZERO_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class GpdParams:
-    """Shape ``gamma`` and scale ``sigma`` of a generalized Pareto law."""
+    """A generalized Pareto law's shape ``gamma`` and scale ``sigma``, each with a declared rule."""
 
-    gamma: float
-    sigma: float
+    gamma: float = field(metadata={"interval": (-math.inf, math.inf)})
+    sigma: float = field(metadata={"interval": (0, math.inf)})
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and math.isfinite(self.sigma)):
-            raise ValueError("gamma and sigma must be finite")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        check_fields(self)
 
 
 def gpd_cdf(params: GpdParams, x):

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .pricing import C_TRAIN, DomainBox, contract_terms
-from .rng import check_integer, generator, stage_seed
+from .rng import check_fields, check_integer, generator, stage_seed
 from .tail import ErrorSample
 
 MODEL_FORMAT_VERSION = 1
@@ -44,32 +44,18 @@ DEFAULT_TARGET_SCALE = 100.0
 EVAL_BLOCK_ROWS = 512
 
 
-def check_fields(config) -> None:
-    """Apply the rule that each field of a config dataclass declares in its
-    metadata. A ``minimum`` field is stored as the int :func:`check_integer`
-    returns (a seed's minimum is None); an ``upper`` field must be a real,
-    not a bool, strictly between 0 and its upper bound, so NaN and inf are
-    rejected."""
-    for f in fields(config):
-        value, rule = getattr(config, f.name), f.metadata
-        if "minimum" in rule:
-            object.__setattr__(config, f.name, check_integer(f.name, value, rule["minimum"]))
-        elif "upper" in rule and (isinstance(value, bool) or not 0.0 < value < rule["upper"]):
-            raise ValueError(f"{f.name} must be in (0, {rule['upper']}), got {value}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings for :func:`train`. Each field
-    declares its rule, and :func:`check_fields` applies the rules."""
+    """Optimizer and schedule settings for :func:`train`. Each field declares
+    its rule (see :func:`~errortail.rng.check_fields`)."""
 
     epochs: int = field(default=20, metadata={"minimum": 1})
     batch_size: int = field(default=100, metadata={"minimum": 1})
-    validation_fraction: float = field(default=0.2, metadata={"upper": 1})
-    learning_rate: float = field(default=1e-3, metadata={"upper": math.inf})
-    adam_beta1: float = field(default=0.9, metadata={"upper": 1})
-    adam_beta2: float = field(default=0.999, metadata={"upper": 1})
-    adam_epsilon: float = field(default=1e-8, metadata={"upper": math.inf})
+    validation_fraction: float = field(default=0.2, metadata={"interval": (0, 1)})
+    learning_rate: float = field(default=1e-3, metadata={"interval": (0, math.inf)})
+    adam_beta1: float = field(default=0.9, metadata={"interval": (0, 1)})
+    adam_beta2: float = field(default=0.999, metadata={"interval": (0, 1)})
+    adam_epsilon: float = field(default=1e-8, metadata={"interval": (0, math.inf)})
     seed: int = field(default=0, metadata={"minimum": None})
 
     def __post_init__(self) -> None:
@@ -418,11 +404,11 @@ def load_model(path) -> MlpModel:
         "layer_widths", lambda widths: tuple(check_integer("a width", w, 1) for w in widths)
     )
     layers = doc_field("layers", lambda layers: [
-        _layer_arrays(index, layer) for index, layer in enumerate(layers)
+        (_numbers(layer["weights"], 2), _numbers(layer["bias"], 1)) for layer in layers
     ])
-    lower = doc_field("input_lower", _vector)
-    upper = doc_field("input_upper", _vector)
-    target_scale = doc_field("target_scale", _number)
+    lower = doc_field("input_lower", lambda values: _numbers(values, 1))
+    upper = doc_field("input_upper", lambda values: _numbers(values, 1))
+    target_scale = doc_field("target_scale", lambda value: _numbers(value, 0))
     try:
         return MlpModel(
             widths, [w for w, _ in layers], [b for _, b in layers], lower, upper, target_scale
@@ -431,23 +417,17 @@ def load_model(path) -> MlpModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _layer_arrays(index: int, layer) -> tuple[np.ndarray, np.ndarray]:
-    """A layer's weight rows and bias as arrays; every element must be a JSON
-    number, so true, a string, null or a nested list is not read as one."""
-    weights, bias = layer["weights"], layer["bias"]
-    if not {float, int}.issuperset(map(type, chain(bias, chain.from_iterable(weights)))):
-        raise ValueError(f"layer {index} holds an element that is not a number")
-    return np.asarray(weights, dtype=float), np.asarray(bias, dtype=float)
-
-
-def _number(value) -> float:
-    """A JSON number as a float; true, false and strings are no numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _vector(values) -> np.ndarray:
-    if not isinstance(values, list):
-        raise ValueError(f"expected a list of numbers, got {values!r}")
-    return np.array([_number(v) for v in values], dtype=float)
+def _numbers(value, ndim: int) -> np.ndarray:
+    """JSON numbers in lists nested ``ndim`` deep (a lone number at 0) as a
+    float array. Each element's type is checked once: true, a string, null
+    or a list is no number, and a ragged list is no array."""
+    items = [value]
+    for _ in range(ndim):
+        others = [item for item in items if type(item) is not list]
+        if others:
+            raise ValueError(f"expected a list of numbers, got {others[0]!r}")
+        items = list(chain.from_iterable(items))
+    if not {float, int}.issuperset(map(type, items)):
+        bad = next(item for item in items if type(item) not in (float, int))
+        raise ValueError(f"expected a number, got {bad!r}")
+    return np.asarray(value, dtype=float)

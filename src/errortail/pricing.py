@@ -76,7 +76,7 @@ CHUNK_NODES = 65_536  # terminal nodes per kernel call and per worker task
 _TRIM_MARGIN = 2.0**-40  # least (1 - disc)(1 - 1/up) the exercise trim is exact for
 _REMEASURE = 16  # levels between two measurements of the exercised rows
 
-_FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
+CONTRACT_FIELDS = ("strike_pct", "maturity_months", "rate", "dividend_yield", "volatility")
 _POSITIVE = np.array([True, True, False, False, True])  # K, T and vol
 
 
@@ -105,7 +105,7 @@ def contract_terms(contracts, row_label=lambda row: f"row {row}") -> np.ndarray:
         row, col = np.argwhere(bad)[0]
         value = float(terms[row, col])
         rule = "finite" if not math.isfinite(value) else "positive"
-        raise ValueError(f"{row_label(row)}: {_FIELDS[col]} must be {rule}, got {value}")
+        raise ValueError(f"{row_label(row)}: {CONTRACT_FIELDS[col]} must be {rule}, got {value}")
     return terms
 
 
@@ -122,7 +122,7 @@ def _rows_as_terms(rows, row_label) -> np.ndarray:
     return terms.reshape(len(lengths), 5)
 
 
-class OptionContract(namedtuple("OptionContract", _FIELDS)):
+class OptionContract(namedtuple("OptionContract", CONTRACT_FIELDS)):
     """Contract terms (K, T, r, q, vol) of an American put.
 
     ``strike_pct`` is the strike as a fraction of the initial stock price

@@ -1,4 +1,4 @@
-"""Deterministic random number generation and the package's two value rules.
+"""Deterministic random number generation and the package's value rules.
 
 Every stochastic routine draws from a PCG64 generator seeded explicitly by
 the caller, so identical seeds give bit-identical streams. Pipeline stages
@@ -12,7 +12,8 @@ with a minimum of 0. A master or training seed may be negative: it reaches
 a generator only through :func:`stage_seed`.
 
 Prices, absolute errors and GPD levels, which must be finite and
-nonnegative, pass one rule, :func:`check_nonnegative`.
+nonnegative, pass one rule, :func:`check_nonnegative`, and a dataclass field
+that declares its rule passes :func:`check_fields`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,6 +49,22 @@ def check_nonnegative(name: str, values, row_label=lambda row: f"row {row}") -> 
             f"got {float(values.flat[bad[0]])}"
         )
     return values
+
+
+def check_fields(record) -> None:
+    """Apply the rule that each field of a frozen dataclass declares in its
+    metadata. A ``minimum`` field is stored as the int :func:`check_integer`
+    returns (a seed's minimum is None); an ``interval`` field must be a real,
+    not a bool, strictly inside its open interval ``(lower, upper)``, so NaN
+    is rejected, and is stored as given."""
+    for f in fields(record):
+        value, rule = getattr(record, f.name), f.metadata
+        if "minimum" in rule:
+            object.__setattr__(record, f.name, check_integer(f.name, value, rule["minimum"]))
+        elif "interval" in rule:
+            lower, upper = rule["interval"]
+            if isinstance(value, bool) or not lower < value < upper:
+                raise ValueError(f"{f.name} must be in ({lower}, {upper}), got {value}")
 
 
 def generator(seed: int) -> np.random.Generator:

@@ -128,8 +128,8 @@ class TailFit:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
         u, xstar, gamma = self.u, self.xstar_hat, self.gamma_hat
         for name, value in (("u", u), ("xstar_hat", xstar), ("gamma_hat", gamma)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {float(value)}")
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not gamma < 0.0:
             raise ValueError(f"gamma_hat must be negative, got {gamma}")
         # the tail formulas divide by gamma_hat; an overflow there collapses them to 0

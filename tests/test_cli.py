@@ -236,6 +236,16 @@ class TestGpdSample:
         )
         assert not (tmp_path / "g.csv").exists()
 
+    def test_comment_lines_record_the_flags(self, capsys, tmp_path):
+        path = tmp_path / "draws.csv"
+        code, _, _ = run_cli(
+            capsys, "gpd-sample", "--gamma=-5e-1", "--sigma", "1", "--count", "3",
+            "--seed", "0", "--out", str(path),
+        )
+        assert code == 0
+        head = path.read_text().splitlines()[:5]
+        assert head == ["# gamma=-0.5", "# sigma=1.0", "# count=3", "# seed=0", "error"]
+
     def test_negative_seed_is_named(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "gpd-sample", "--gamma", "-0.5", "--sigma", "1", "--count", "3",
@@ -277,6 +287,16 @@ class TestTrainAndErrors:
         assert code == 0
         sample = read_error_csv(errors_path)
         assert sample.n == 300
+
+    def test_paper_scale_and_widths_are_exclusive(self, capsys, tmp_path):
+        # one of the two would be ignored
+        with pytest.raises(SystemExit) as info:
+            main(["train", "--data", "d.csv", "--out", str(tmp_path / "m.json"),
+                  "--paper-scale", "--widths", "5,8,1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --widths: not allowed with argument --paper-scale" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_errors_repeats_its_bits_across_blocks(self, capsys, tmp_path):
         # more rows than one evaluation block: the same model file and the
@@ -433,7 +453,8 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert err == "error: workers must be >= 1, got 0\n"
-        assert not (out_dir / "report.txt").exists()
+        # the whole configuration is checked before the output directory is made
+        assert not out_dir.exists()
 
     def test_rejects_malformed_config(self, capsys, tmp_path):
         config_path = tmp_path / "config.txt"

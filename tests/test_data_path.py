@@ -29,7 +29,7 @@ from errortail.pricing import (
     C_TEST,
     C_TRAIN,
     PRICED_CSV_HEADER,
-    _FIELDS,
+    CONTRACT_FIELDS,
     OptionContract,
     contract_terms,
     price_contracts,
@@ -161,7 +161,7 @@ class TestContractTerms:
         row, col = want
         value = float(terms[row, col])
         rule = "finite" if not math.isfinite(value) else "positive"
-        message = f"row {row}: {_FIELDS[col]} must be {rule}, got {value}"
+        message = f"row {row}: {CONTRACT_FIELDS[col]} must be {rule}, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             contract_terms(terms)
 

@@ -30,6 +30,22 @@ class TestParams:
         with pytest.raises(ValueError, match="sigma"):
             GpdParams(gamma=0.1, sigma=-1.0)
 
+    @pytest.mark.parametrize("gamma, sigma, message", [
+        (True, 1.0, "gamma must be in (-inf, inf), got True"),
+        (-0.5, True, "sigma must be in (0, inf), got True"),
+        (math.nan, 1.0, "gamma must be in (-inf, inf), got nan"),
+        (-math.inf, 1.0, "gamma must be in (-inf, inf), got -inf"),
+        (-0.5, math.inf, "sigma must be in (0, inf), got inf"),
+        (-0.5, 0.0, "sigma must be in (0, inf), got 0.0"),
+    ])
+    def test_declared_rules_name_the_field(self, gamma, sigma, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GpdParams(gamma, sigma)
+
+    def test_values_are_stored_as_given(self):
+        params = GpdParams(np.float64(-0.5), 2)
+        assert (type(params.gamma), type(params.sigma)) == (np.float64, int)
+
 
 class TestCdf:
     def test_zero_at_origin(self):

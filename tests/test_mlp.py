@@ -691,12 +691,32 @@ BROKEN_MODEL_FILES = [
     ),
     # a layer element that is no JSON number is not read as one
     pytest.param(
-        _with_layer(1, bias=[True]),
-        "field 'layers': layer 1 holds an element that is not a number", id="bool-bias",
+        _with_layer(1, bias=[True]), "field 'layers': expected a number, got True$",
+        id="bool-bias",
     ),
     pytest.param(
         lambda doc: _with_layer(1, weights=[["0.5", *doc["layers"][1]["weights"][0][1:]]])(doc),
-        "field 'layers': layer 1 holds an element that is not a number", id="string-weight",
+        "field 'layers': expected a number, got '0.5'$", id="string-weight",
+    ),
+    pytest.param(
+        _with_layer(1, bias=[None]), "field 'layers': expected a number, got None$",
+        id="null-bias",
+    ),
+    pytest.param(
+        _with_layer(1, bias=[[0.0]]), r"field 'layers': expected a number, got \[0.0\]$",
+        id="nested-bias",
+    ),
+    pytest.param(
+        _with_layer(1, weights=[0.5, 0.5, 0.5, 0.5]),
+        "field 'layers': expected a list of numbers, got 0.5$", id="flat-weights",
+    ),
+    pytest.param(
+        lambda doc: {**doc, "input_upper": [[1.0], *doc["input_upper"][1:]]},
+        r"field 'input_upper': expected a number, got \[1.0\]$", id="nested-input-upper",
+    ),
+    pytest.param(
+        _with_layer(0, weights=[[0.5] * 5, [0.5] * 4, [0.5] * 5, [0.5] * 5]),
+        "field 'layers': .*inhomogeneous", id="ragged-weights",
     ),
     # a JSON integer beyond the float range
     pytest.param(

@@ -364,6 +364,10 @@ class TestTailFit:
             # 1/gamma_hat overflows to -inf, which collapses the fitted tail to 0
             ("gamma_hat", -1e-320),
             ("gamma_hat", -5e-324),
+            # a bool is no real, though math.isfinite takes it
+            ("u", True),
+            ("xstar_hat", True),
+            ("gamma_hat", False),
         ],
     )
     def test_non_finite_fit_rejected_by_name(self, field, value):

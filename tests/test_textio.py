@@ -85,6 +85,16 @@ def _cases():
             reader, re.sub("^k = .*$", "k = two", body, flags=re.M),
             "field 'k': cannot parse value 'two'", id=f"{name}-bad-value",
         )
+    # a fit file holds TailFit's fields only, and its sigma_u is the derived scale
+    fit_body = KEY_VALUE_FILES[0][1]
+    yield pytest.param(
+        _read_fit_file, f"{fit_body}gama_hat = 7\n", "unknown fit key 'gama_hat'$",
+        id="_read_fit_file-unknown-key",
+    )
+    yield pytest.param(
+        _read_fit_file, f"{fit_body}sigma_u = 123.0\n",
+        r"sigma_u = 123\.0 is not the derived 0\.5$", id="_read_fit_file-contradicting-sigma-u",
+    )
     for price, case in (("nan", "bad-price"), ("-0.5", "negative-price")):
         yield pytest.param(
             read_priced_csv, f"{PRICED_CSV_HEADER}\n1.0,12.0,0.02,0.0,0.2,{price}\n",
