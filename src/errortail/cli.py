@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import experiment as exp
 from . import mlp, pricing, tail
 from .gpd import GpdParams, gpd_sample
-from .textio import read_key_values
+from .textio import PARSERS, key_value_text, parse_widths, read_fields
 
 # TrainConfig fields that ``train`` takes from the flags of the same name.
 _TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed")
@@ -25,30 +25,16 @@ _TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", 
 _GPD_SAMPLE_FLAGS = {"gamma": float, "sigma": float, "count": int, "seed": int}
 
 
-def _fit_text(fit: tail.TailFit) -> str:
-    return "".join(f"{f.name} = {getattr(fit, f.name)!r}\n" for f in fields(tail.TailFit))
-
-
 def _read_fit_file(path) -> tail.TailFit:
     """The fit a file written by ``fit-tail --out`` holds. Each key is a
     field of :class:`~errortail.tail.TailFit`; the derived ``sigma_u`` may be
     left out, and if given must equal the scale the fit derives."""
-    values = read_key_values(path)
-    missing = [f.name for f in fields(tail.TailFit) if f.init and f.name not in values]
-    if missing:
-        raise ValueError(f"{path}: missing fit fields: {', '.join(missing)}")
-    parsers = {f.name: int if f.type == "int" else float for f in fields(tail.TailFit)}
-    parsed = {}
-    for key, text in values.items():
-        if key not in parsers:
-            raise ValueError(f"{path}: unknown fit key {key!r}")
-        try:
-            parsed[key] = parsers[key](text)
-        except ValueError:
-            raise ValueError(f"{path}: field {key!r}: cannot parse value {text!r}") from None
-    sigma_u = parsed.pop("sigma_u", None)
+    parsers = {f.name: PARSERS[f.type] for f in fields(tail.TailFit)}
+    required = [f.name for f in fields(tail.TailFit) if f.init]
+    values = read_fields(path, parsers, required, "fit")
+    sigma_u = values.pop("sigma_u", None)
     try:
-        fit = tail.TailFit(**parsed)
+        fit = tail.TailFit(**values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if sigma_u is not None and sigma_u != fit.sigma_u:
@@ -88,7 +74,7 @@ def _cmd_errors(args) -> int:
 def _cmd_fit_tail(args) -> int:
     sample = tail.read_error_csv(args.errors)
     fit = tail.tail_fit(sample, args.k)
-    text = _fit_text(fit)
+    text = key_value_text(asdict(fit))
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -125,16 +111,8 @@ def _cmd_experiment(args) -> int:
     overrides = {"master_seed": args.seed, "k": args.k, "output_dir": args.out}
     config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
     report = exp.run_experiment(config, workers=args.workers)
-    out = Path(config.output_dir)
-    print(f"fitted_sets = {len(report.exceed_at_u_ref)} of {config.test_sets}")
-    print(f"u_ref = {report.u_ref!r}")
-    print(f"exceed_at_u_ref_mean = {report.exceed_mean!r}")
-    print(f"exceed_at_u_ref_std1 = {report.exceed_std!r}")
-    print(f"pooled_exceed_at_u_ref = {report.pooled_exceed_at_u_ref!r}")
-    print(f"mean_excess_mean = {report.mean_excess_mean!r}")
-    print(f"mean_excess_std1 = {report.mean_excess_std!r}")
-    print(f"pooled_mean_excess_at_u_ref = {report.pooled_mean_excess_at_u_ref!r}")
-    print(f"outputs in {out}")
+    sys.stdout.write(key_value_text(report.aggregates))
+    print(f"outputs in {Path(config.output_dir)}")
     return 0
 
 
@@ -157,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV with header K,T,r,q,sigma,price")
     p.add_argument("--out", required=True, help="model file to write")
     widths = p.add_mutually_exclusive_group()
-    widths.add_argument("--widths", type=exp.parse_widths, default=exp.ExperimentConfig().widths)
+    widths.add_argument("--widths", type=parse_widths, default=exp.ExperimentConfig().widths)
     widths.add_argument("--paper-scale", action="store_true", help="use the paper-scale widths")
     for name in _TRAIN_FLAGS:
         default = getattr(train_defaults, name)

@@ -24,7 +24,6 @@ alone.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -46,7 +45,7 @@ from .tail import (
     tail_fit,
     write_error_csv,
 )
-from .textio import read_key_values, write_table
+from .textio import PARSERS, key_value_text, read_fields, write_table
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -80,15 +79,6 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "widths", check_widths(self.widths, len(C_TRAIN.lower)))
         split_sizes(self.train_samples, self.train_config)
-
-
-def parse_widths(text: str) -> tuple[int, ...]:
-    """Layer widths written as comma-separated integers, e.g. ``5,64,1``."""
-    return tuple(int(w) for w in text.split(","))
-
-
-# the parser of a configuration file value, by the annotation of its field
-_PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": parse_widths}
 
 
 def _file_fields():
@@ -160,9 +150,7 @@ class ExperimentReport:
         self.exceed_at_u_ref = exceed = per_set[:, 0].tolist()
         self.mean_excesses = excesses = [mean_excess(f) for f, _ in good]
         pooled_above = self.pooled.values[self.pooled.values > u_ref]
-        self.pooled_mean_excess_at_u_ref = (
-            float(np.mean(pooled_above - u_ref)) if pooled_above.size else 0.0
-        )
+        self.pooled_mean_excess_at_u_ref = float(np.mean(pooled_above - u_ref))
         # column 0's 1-D mean and sd can differ in the last bit from the figure's axis-0 ones
         self.exceed_mean = float(np.mean(exceed))
         self.exceed_std = _sample_std(exceed)
@@ -183,6 +171,24 @@ class ExperimentReport:
             m2,
             m4,
         ])
+
+    @property
+    def aggregates(self) -> dict:
+        """The report's ``[aggregates]`` section, in file order."""
+        return {
+            "u_ref": self.u_ref,
+            "fitted_sets": len(self.exceed_at_u_ref),
+            "exceed_at_u_ref_mean": self.exceed_mean,
+            "exceed_at_u_ref_std1": self.exceed_std,
+            "exceed_at_u_ref_std2": 2.0 * self.exceed_std,
+            "mean_excess_mean": self.mean_excess_mean,
+            "mean_excess_std1": self.mean_excess_std,
+            "mean_excess_std2": 2.0 * self.mean_excess_std,
+            "pooled_exceed_at_u_ref": self.pooled_exceed_at_u_ref,
+            "pooled_mean_excess_at_u_ref": self.pooled_mean_excess_at_u_ref,
+            "pooled_n": self.pooled.n,
+            "pooled_max_error": float(self.pooled.values[-1]),
+        }
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
@@ -327,48 +333,34 @@ def emit_figure_csv(report: ExperimentReport, path) -> None:
 
 
 def write_report(report: ExperimentReport, path) -> None:
-    """Persist the run as flat key/value text plus a per-set fit table."""
-    buf = io.StringIO()
-    buf.write(f"report_version = {REPORT_VERSION}\n")
-    buf.write("\n[config]\n")
-    for key, value in _config_comments(report).items():
-        buf.write(f"{key} = {value}\n")
-    buf.write("\n[training]\n")
-    buf.write(f"train_size = {report.training.train_size}\n")
-    buf.write(f"validation_size = {report.training.validation_size}\n")
-    buf.write(f"final_train_mse_usd2 = {report.training.train_mse[-1]!r}\n")
-    buf.write(f"final_validation_mse_usd2 = {report.training.validation_mse[-1]!r}\n")
-    buf.write("\n[sets]\n")
+    """Persist the run as ``key = value`` sections plus a per-set fit table."""
     names = [f.name for f in fields(TailFit)]
-    buf.write(",".join(["index", *names, "exceed_at_u_ref", "mean_excess"]) + "\n")
+    rows = [",".join(["index", *names, "exceed_at_u_ref", "mean_excess"]) + "\n"]
     good_iter = iter(zip(report.exceed_at_u_ref, report.mean_excesses))
     for i, fit in enumerate(report.fits):
         if fit is None:
-            buf.write(f"{i},degenerate" + "," * (len(names) + 1) + "\n")
+            rows.append(f"{i},degenerate" + "," * (len(names) + 1) + "\n")
             continue
         values = [getattr(fit, name) for name in names] + list(next(good_iter))
-        buf.write(",".join([str(i), *map(repr, values)]) + "\n")
-    buf.write("\n[failures]\n")
-    buf.write(f"count = {len(report.failures)}\n")
-    for i, message in report.failures:
-        buf.write(f"set_{i} = {message}\n")
-    buf.write("\n[aggregates]\n")
-    buf.write(f"u_ref = {report.u_ref!r}\n")
-    buf.write(f"fitted_sets = {len(report.exceed_at_u_ref)}\n")
-    buf.write(f"exceed_at_u_ref_mean = {report.exceed_mean!r}\n")
-    buf.write(f"exceed_at_u_ref_std1 = {report.exceed_std!r}\n")
-    buf.write(f"exceed_at_u_ref_std2 = {2.0 * report.exceed_std!r}\n")
-    buf.write(f"mean_excess_mean = {report.mean_excess_mean!r}\n")
-    buf.write(f"mean_excess_std1 = {report.mean_excess_std!r}\n")
-    buf.write(f"mean_excess_std2 = {2.0 * report.mean_excess_std!r}\n")
-    buf.write(f"pooled_exceed_at_u_ref = {report.pooled_exceed_at_u_ref!r}\n")
-    buf.write(
-        f"pooled_mean_excess_at_u_ref = {report.pooled_mean_excess_at_u_ref!r}\n"
+        rows.append(",".join([str(i), *map(repr, values)]) + "\n")
+    sections = {
+        "config": key_value_text(_config_comments(report)),
+        "training": key_value_text({
+            "train_size": report.training.train_size,
+            "validation_size": report.training.validation_size,
+            "final_train_mse_usd2": report.training.train_mse[-1],
+            "final_validation_mse_usd2": report.training.validation_mse[-1],
+        }),
+        "sets": "".join(rows),
+        "failures": key_value_text(
+            {"count": len(report.failures), **{f"set_{i}": m for i, m in report.failures}}
+        ),
+        "aggregates": key_value_text(report.aggregates),
+    }
+    text = key_value_text({"report_version": REPORT_VERSION}) + "".join(
+        f"\n[{name}]\n{body}" for name, body in sections.items()
     )
-    buf.write(f"pooled_n = {report.pooled.n}\n")
-    buf.write(f"pooled_max_error = {float(report.pooled.values[-1])!r}\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -381,25 +373,14 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     name.
     """
     base = base if base is not None else ExperimentConfig()
-    raw = read_key_values(path)
-    if "config_version" not in raw:
-        raise ValueError(f"{path}: missing required key 'config_version'")
-    if raw.pop("config_version") != str(CONFIG_VERSION):
+    parsers = {"config_version": str, **{f.name: PARSERS[f.type] for f, _ in _file_fields()}}
+    values = read_fields(path, parsers, ["config_version"], "config")
+    if values.pop("config_version") != str(CONFIG_VERSION):
         raise ValueError(f"{path}: unsupported config_version (expected {CONFIG_VERSION})")
-    keys = {f.name: (owner, _PARSERS[f.type]) for f, owner in _file_fields()}
-    changes: dict = {ExperimentConfig: {}, TrainConfig: {}}
-    for key, value in raw.items():
-        if key not in keys:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-        owner, parse = keys[key]
-        try:
-            changes[owner][key] = parse(value)
-        except ValueError:
-            raise ValueError(
-                f"{path}: field {key!r}: cannot parse value {value!r}"
-            ) from None
+    train_keys = {f.name for f, owner in _file_fields() if owner is TrainConfig}
+    train_changes = {key: values.pop(key) for key in train_keys & values.keys()}
     try:
-        train_config = replace(base.train_config, **changes[TrainConfig])
-        return replace(base, train_config=train_config, **changes[ExperimentConfig])
+        train_config = replace(base.train_config, **train_changes)
+        return replace(base, train_config=train_config, **values)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -116,8 +116,6 @@ def _rows_as_terms(rows, row_label) -> np.ndarray:
     if lengths.count(5) != len(lengths):
         row = next(i for i, size in enumerate(lengths) if size != 5)
         raise ValueError(f"{row_label(row)}: expected 5 terms, got {lengths[row]}")
-    if not lengths:
-        return np.empty(0)  # rejected by the shape check
     terms = np.fromiter(chain.from_iterable(rows), float, 5 * len(lengths))
     return terms.reshape(len(lengths), 5)
 
@@ -450,12 +448,15 @@ PRICED_CSV_HEADER = "K,T,r,q,sigma,price"
 
 def write_priced_csv(path, contracts, prices) -> None:
     """Write contracts and prices as CSV with header ``K,T,r,q,sigma,price``,
-    formatting one block of ``BLOCK_ROWS`` rows at a time; the prices pass
-    the rule :func:`read_priced_csv` reads them with."""
+    formatting one block of ``BLOCK_ROWS`` rows at a time. A price or a
+    table that :func:`read_priced_csv` would reject, such as one without
+    rows, is rejected before the file is opened."""
     terms = contract_terms(contracts)
     prices = check_nonnegative("price", prices)
     if prices.shape != (len(terms),):
         raise ValueError("contracts and prices must have equal length")
+    if not len(terms):
+        raise ValueError(f"no rows to write below the {PRICED_CSV_HEADER!r} header")
     rows = (
         f"{k!r},{t!r},{r!r},{q!r},{vol!r},{p!r}"
         for (k, t, r, q, vol), p in zip(block_rows(terms), block_rows(prices))

@@ -3,6 +3,8 @@
 A table is optional ``# key=value`` comment lines recording how the file was
 produced, one header line, then one comma-separated row per line. Both
 readers skip blank lines and ``#`` comments and name the line of each error.
+Config files, fit files and the report's sections are ``key = value`` text,
+read by :func:`read_fields` and written by :func:`key_value_text`.
 
 numpy's C reader (``np.loadtxt``) parses a table's rows into one array, one
 line at a time, and no line number is kept per row: a check on the values
@@ -105,19 +107,42 @@ def line_of(path, row: int) -> int:
         return next(islice(_content(fh), row + 1, None))[0]
 
 
-def read_key_values(path) -> dict[str, str]:
-    """``key = value`` pairs of a file; rejects a line without ``=`` and a key
-    given twice."""
-    pairs: dict[str, str] = {}
+def parse_widths(text: str) -> tuple[int, ...]:
+    """Layer widths written as comma-separated integers, e.g. ``5,64,1``."""
+    return tuple(int(w) for w in text.split(","))
+
+
+# the parser of a ``key = value`` file's value, by the annotation of its field
+PARSERS = {"int": int, "float": float, "str": str, "tuple[int, ...]": parse_widths}
+
+
+def read_fields(path, parsers: dict, required: Iterable[str], kind: str) -> dict:
+    """The ``key = value`` pairs of a file, each value parsed by ``parsers[key]``.
+    Names the first faulty line (no ``=``, a key given twice or not in
+    ``parsers``, a value its parser rejects), then the ``required`` keys missing."""
+    values: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in _content(fh):
-            key, sep, value = line.partition("=")
-            key = key.strip()
+            key, sep, text = map(str.strip, line.partition("="))
             if not sep:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 'key = value', got {line!r}"
                 )
-            if key in pairs:
+            if key in values:
                 raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            pairs[key] = value.strip()
-    return pairs
+            if key not in parsers:
+                raise ValueError(f"{path}: unknown {kind} key {key!r}")
+            try:
+                values[key] = parsers[key](text)
+            except ValueError:
+                raise ValueError(f"{path}: field {key!r}: cannot parse value {text!r}") from None
+    missing = [key for key in required if key not in values]
+    if missing:
+        raise ValueError(f"{path}: missing {kind} fields: {', '.join(missing)}")
+    return values
+
+
+def key_value_text(pairs: dict) -> str:
+    """One ``key = value`` line per pair, the value as ``f"{value}"`` writes
+    it (for a float, its ``repr``)."""
+    return "".join(f"{key} = {value}\n" for key, value in pairs.items())

@@ -352,13 +352,18 @@ class TestTrainAndErrors:
         assert code == 1
         assert err.startswith(f"error: {model_path}: expected a JSON object")
 
-    @pytest.mark.parametrize("field, value", [
-        ("layer_widths", [5.5, 4, 1]),
-        ("layer_widths", 5),
-        ("layers", 3),
-        ("input_lower", None),
-    ], ids=["fractional-width", "int-widths", "int-layers", "null-input-lower"])
-    def test_errors_names_the_bad_model_field(self, capsys, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("layer_widths", [5.5, 4, 1], "field 'layer_widths': "),
+        ("layer_widths", 5, "field 'layer_widths': "),
+        ("layers", 3, "field 'layers': "),
+        ("input_lower", None, "field 'input_lower': "),
+        # well-formed fields that break the model rule
+        ("layers", [{"weights": [[0.5]], "bias": [0.5]}] * 2,
+         "layer 0 arrays do not match layer_widths\n"),
+        ("input_lower", [0.0] * 4, "a domain box needs 5 lower and 5 upper bounds\n"),
+    ], ids=["fractional-width", "int-widths", "int-layers", "null-input-lower",
+            "layers-off-the-widths", "four-input-bounds"])
+    def test_errors_names_the_bad_model_field(self, capsys, tmp_path, field, value, message):
         model_path = tmp_path / "m.json"
         save_model(init_model([5, 4, 1], seed=0), model_path)
         doc = json.loads(model_path.read_text())
@@ -371,7 +376,7 @@ class TestTrainAndErrors:
             "--out", str(tmp_path / "errors.csv"),
         )
         assert code == 1
-        assert err.startswith(f"error: {model_path}: field {field!r}: ")
+        assert err.startswith(f"error: {model_path}: {message}")
         assert "Traceback" not in err
 
     def test_train_defaults_follow_configs(self):
@@ -436,6 +441,9 @@ class TestExperimentCommand:
         assert (out_dir / "report.txt").exists()
         assert "exceed_at_u_ref_mean" in out
         report_text = (out_dir / "report.txt").read_text()
+        # stdout is the report's [aggregates] section, then the output directory
+        aggregates = report_text.split("\n[aggregates]\n")[1]
+        assert out == f"{aggregates}outputs in {out_dir}\n"
         assert "master_seed = 11" in report_text
         assert "k = 3" in report_text
 

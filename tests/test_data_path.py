@@ -139,13 +139,19 @@ class TestContractTerms:
 
     @pytest.mark.parametrize(
         "contracts",
-        [list(VALID_TERMS), None, "abcde", ["abcde"], [], np.asarray(VALID_TERMS), 1.0],
-        ids=["1-d-list", "None", "string", "list-of-string", "empty-list", "1-d-array",
-             "scalar"],
+        [list(VALID_TERMS), None, "abcde", ["abcde"], np.asarray(VALID_TERMS), 1.0],
+        ids=["1-d-list", "None", "string", "list-of-string", "1-d-array", "scalar"],
     )
     def test_rejects_what_is_not_rows_of_terms(self, contracts):
         with pytest.raises((ValueError, TypeError)):
             contract_terms(contracts)
+
+    def test_an_empty_list_is_the_empty_array(self):
+        # no contracts is one input: [] prices as an empty (0, 5) array does
+        assert contract_terms([]).shape == (0, 5)
+        prices = price_contracts([], steps=10)
+        assert prices.shape == (0,)
+        assert np.array_equal(prices, price_contracts(np.empty((0, 5)), steps=10))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_names_the_fault_the_fancy_index_rule_found(self, seed):

@@ -25,7 +25,7 @@ from errortail.mlp import TrainConfig, TrainingReport
 from errortail.pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
 from errortail.rng import stage_seed
 from errortail.tail import (
-    ErrorSample, TailFit, exceedance_probability, markov_bound, mean_excess, tail_fit,
+    DegenerateSampleError, ErrorSample, TailFit, exceedance_probability, markov_bound, mean_excess, tail_fit,
 )
 from errortail.textio import read_table
 
@@ -524,6 +524,10 @@ class TestRunExperiment:
         assert keyvals["count"] == "1"
         assert sets[1]["n"] == "degenerate"
         assert int(keyvals["fitted_sets"]) == config.test_sets - 1
+
+        # with every set degenerate there is nothing to aggregate
+        with pytest.raises(DegenerateSampleError, match="^every test set produced a degenerate"):
+            replace(report, fits=[None] * config.test_sets)
 
 
 class TestGroupedPricing:

@@ -504,7 +504,8 @@ def _price_two_chunks(workers):
 
 
 # inputs rejected before any contract is priced or any row written: a
-# workers value that is not an integer >= 1, and a price the reader rejects
+# workers value that is not an integer >= 1, prices that do not match the
+# contracts, and a table the reader rejects
 REJECTED_BEFORE_WORK = [
     pytest.param(
         lambda path: _price_two_chunks(0), ValueError, "workers must be >= 1, got 0",
@@ -525,6 +526,15 @@ REJECTED_BEFORE_WORK = [
     pytest.param(
         lambda path: write_priced_csv(path, [VALID_TERMS] * 2, [math.inf, 1.0]), ValueError,
         "row 0: price must be finite and nonnegative, got inf", id="write-inf-price",
+    ),
+    pytest.param(
+        lambda path: write_priced_csv(path, [VALID_TERMS] * 2, [1.0]), ValueError,
+        "contracts and prices must have equal length", id="write-short-prices",
+    ),
+    # read_priced_csv rejects a file without rows, so none is written
+    pytest.param(
+        lambda path: write_priced_csv(path, np.empty((0, 5)), []), ValueError,
+        "no rows to write below the 'K,T,r,q,sigma,price' header", id="write-no-rows",
     ),
 ]
 

@@ -95,6 +95,42 @@ def _cases():
         _read_fit_file, f"{fit_body}sigma_u = 123.0\n",
         r"sigma_u = 123\.0 is not the derived 0\.5$", id="_read_fit_file-contradicting-sigma-u",
     )
+    # ... and its fields pass TailFit's rules
+    for old, new, message, case in (
+        ("k = 2", "k = 10", r"need 1 <= k < n, got k=10, n=10$", "k-not-below-n"),
+        ("gamma_hat = -0.5", "gamma_hat = 0.5", "gamma_hat must be negative, got 0.5$",
+         "nonnegative-shape"),
+        ("xstar_hat = 2.0", "xstar_hat = 1.0", "xstar_hat must exceed the threshold u$",
+         "endpoint-at-threshold"),
+    ):
+        yield pytest.param(
+            _read_fit_file, fit_body.replace(old, new), message, id=f"_read_fit_file-{case}"
+        )
+    # of several faults, the one on the earlier line is named, and a missing key last
+    yield pytest.param(
+        _read_fit_file, "n = 10\nk = 2\nshape = -0.5\nk = 3\n", "unknown fit key 'shape'$",
+        id="_read_fit_file-unknown-key-above-duplicate-and-missing-fields",
+    )
+    yield pytest.param(
+        _read_fit_file, "n = 10\nk = two\n", "field 'k': cannot parse value 'two'$",
+        id="_read_fit_file-bad-value-above-missing-fields",
+    )
+    yield pytest.param(
+        _read_fit_file, "n = 10\nk = 2\n", "missing fit fields: u, xstar_hat, gamma_hat$",
+        id="_read_fit_file-missing-fields",
+    )
+    yield pytest.param(
+        load_config, "config_version = 2\nk = 3\n", r"unsupported config_version \(expected 1\)$",
+        id="load_config-unsupported-version",
+    )
+    yield pytest.param(
+        load_config, "k = 3\n", "missing config fields: config_version$",
+        id="load_config-missing-version",
+    )
+    yield pytest.param(
+        load_config, "mystery = 3\n", "unknown config key 'mystery'$",
+        id="load_config-unknown-key-above-missing-version",
+    )
     for price, case in (("nan", "bad-price"), ("-0.5", "negative-price")):
         yield pytest.param(
             read_priced_csv, f"{PRICED_CSV_HEADER}\n1.0,12.0,0.02,0.0,0.2,{price}\n",
