@@ -112,24 +112,19 @@ def paper_scale_config() -> ExperimentConfig:
 @dataclass
 class ExperimentReport:
     """Everything a run produced, ready for persistence and inspection. The
-    figure and the aggregates across the fitted sets are derived on construction."""
+    pooled sample, the figure and the aggregates across the fitted sets are
+    derived on construction."""
 
     config: ExperimentConfig
     resolved_train_seed: int
     fits: list[TailFit | None]
     failures: list[tuple[int, str]]
-    pooled: ErrorSample
     per_set_errors: list[ErrorSample]
     training: TrainingReport
-    u_ref: float = field(init=False)
+    pooled: ErrorSample = field(init=False, compare=False)  # every set's errors, derived from them
     exceed_at_u_ref: list[float] = field(init=False)
     mean_excesses: list[float] = field(init=False)
-    exceed_mean: float = field(init=False)
-    exceed_std: float = field(init=False)
-    mean_excess_mean: float = field(init=False)
-    mean_excess_std: float = field(init=False)
-    pooled_exceed_at_u_ref: float = field(init=False)
-    pooled_mean_excess_at_u_ref: float = field(init=False)
+    aggregates: dict = field(init=False)  # the report's ``[aggregates]`` section, in file order
     figure: np.ndarray = field(init=False, compare=False)  # derived from the fields above
 
     def __post_init__(self) -> None:
@@ -138,57 +133,52 @@ class ExperimentReport:
         ``evt_mean`` averages the per-set estimates at x, the band is mean
         -/+ twice their standard deviation (clipped to [0, 1]), and the rest
         are the pooled survival fraction and moment bounds with m = 2 and 4."""
+        if len(self.fits) != len(self.per_set_errors):
+            raise ValueError(
+                f"need one fit per error set, got {len(self.fits)} fits "
+                f"and {len(self.per_set_errors)} error sets"
+            )
         good = [(f, e) for f, e in zip(self.fits, self.per_set_errors) if f is not None]
         if not good:
             raise DegenerateSampleError("every test set produced a degenerate tail fit")
-        self.u_ref = u_ref = float(np.median([f.u for f, _ in good]))
-        top = float(self.pooled.values[-1])
+        self.pooled = pooled = ErrorSample(np.concatenate([e.values for e in self.per_set_errors]))
+        u_ref = float(np.median([f.u for f, _ in good]))
+        top = float(pooled.values[-1])
         if top <= u_ref:
             raise ValueError("pooled maximum does not exceed the reference threshold")
         grid = np.geomspace(u_ref, top, FIGURE_POINTS)
         per_set = np.vstack([_set_exceedance_estimate(f, e, grid) for f, e in good])
         self.exceed_at_u_ref = exceed = per_set[:, 0].tolist()
         self.mean_excesses = excesses = [mean_excess(f) for f, _ in good]
-        pooled_above = self.pooled.values[self.pooled.values > u_ref]
-        self.pooled_mean_excess_at_u_ref = float(np.mean(pooled_above - u_ref))
-        # column 0's 1-D mean and sd can differ in the last bit from the figure's axis-0 ones
-        self.exceed_mean = float(np.mean(exceed))
-        self.exceed_std = _sample_std(exceed)
-        self.mean_excess_mean = float(np.mean(excesses))
-        self.mean_excess_std = _sample_std(excesses)
         means = per_set.mean(axis=0)
         stds = per_set.std(axis=0, ddof=1) if per_set.shape[0] > 1 else np.zeros_like(means)
-        empirical = pooled_empirical_sf(self.pooled, grid)
-        self.pooled_exceed_at_u_ref = float(empirical[0])
-        m2 = [markov_bound(self.pooled, 2.0, x) for x in grid]
-        m4 = [markov_bound(self.pooled, 4.0, x) for x in grid]
+        empirical = pooled_empirical_sf(pooled, grid)
+        pooled_above = pooled.values[pooled.values > u_ref]
+        # column 0's 1-D mean and sd can differ in the last bit from the figure's axis-0 ones
+        exceed_std, excess_std = _sample_std(exceed), _sample_std(excesses)
+        self.aggregates = {
+            "u_ref": u_ref,
+            "fitted_sets": len(good),
+            "exceed_at_u_ref_mean": float(np.mean(exceed)),
+            "exceed_at_u_ref_std1": exceed_std,
+            "exceed_at_u_ref_std2": 2.0 * exceed_std,
+            "mean_excess_mean": float(np.mean(excesses)),
+            "mean_excess_std1": excess_std,
+            "mean_excess_std2": 2.0 * excess_std,
+            "pooled_exceed_at_u_ref": float(empirical[0]),
+            "pooled_mean_excess_at_u_ref": float(np.mean(pooled_above - u_ref)),
+            "pooled_n": pooled.n,
+            "pooled_max_error": top,
+        }
         self.figure = np.column_stack([
             grid,
             means,
             np.maximum(0.0, means - 2.0 * stds),
             np.minimum(1.0, means + 2.0 * stds),
             empirical,
-            m2,
-            m4,
+            [markov_bound(pooled, 2.0, x) for x in grid],
+            [markov_bound(pooled, 4.0, x) for x in grid],
         ])
-
-    @property
-    def aggregates(self) -> dict:
-        """The report's ``[aggregates]`` section, in file order."""
-        return {
-            "u_ref": self.u_ref,
-            "fitted_sets": len(self.exceed_at_u_ref),
-            "exceed_at_u_ref_mean": self.exceed_mean,
-            "exceed_at_u_ref_std1": self.exceed_std,
-            "exceed_at_u_ref_std2": 2.0 * self.exceed_std,
-            "mean_excess_mean": self.mean_excess_mean,
-            "mean_excess_std1": self.mean_excess_std,
-            "mean_excess_std2": 2.0 * self.mean_excess_std,
-            "pooled_exceed_at_u_ref": self.pooled_exceed_at_u_ref,
-            "pooled_mean_excess_at_u_ref": self.pooled_mean_excess_at_u_ref,
-            "pooled_n": self.pooled.n,
-            "pooled_max_error": float(self.pooled.values[-1]),
-        }
 
 
 def pooled_empirical_sf(all_errors: ErrorSample, x):
@@ -255,15 +245,12 @@ def run_experiment(
             fits.append(None)
             failures.append((i, str(exc)))
 
-    pooled = ErrorSample(np.concatenate([e.values for e in per_set_errors]))
-    report = ExperimentReport(
-        config, train_seed, fits, failures, pooled, per_set_errors, training_report
-    )
+    report = ExperimentReport(config, train_seed, fits, failures, per_set_errors, training_report)
 
     write_report(report, out_dir / "report.txt")
     emit_figure_csv(report, out_dir / "figure1.csv")
     write_error_csv(
-        out_dir / "pooled_errors.csv", pooled, comments=_config_comments(report)
+        out_dir / "pooled_errors.csv", report.pooled, comments=_config_comments(report)
     )
     return report
 

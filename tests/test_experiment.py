@@ -83,8 +83,7 @@ def synthetic_report(tmp_path, shared_u=True, test_sets=3):
         sample = ErrorSample(base)
         per_set.append(sample)
         fits.append(tail_fit(sample, config.k))
-    pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-    return ExperimentReport(config, 0, fits, [], pooled, per_set, HAND_TRAINING)
+    return ExperimentReport(config, 0, fits, [], per_set, HAND_TRAINING)
 
 
 def degenerate_report(tmp_path):
@@ -103,8 +102,7 @@ def degenerate_report(tmp_path):
             sample = ErrorSample(rng.random(100))
             per_set.append(sample)
             fits.append(tail_fit(sample, config.k))
-    pooled = ErrorSample(np.concatenate([s.values for s in per_set]))
-    return ExperimentReport(config, 0, fits, failures, pooled, per_set, HAND_TRAINING)
+    return ExperimentReport(config, 0, fits, failures, per_set, HAND_TRAINING)
 
 
 def frozen_set_exceedance_estimate(fit, errors, x):
@@ -158,7 +156,7 @@ def frozen_figure_rows(report) -> list[tuple[float, ...]]:
     standard deviation, the 2-sigma band clipped one level at a time, the
     pooled survival fraction and the moment-bound loops. Frozen as the
     oracle for ``ExperimentReport.figure``; do not edit."""
-    grid = np.geomspace(report.u_ref, float(report.pooled.values[-1]), 40)
+    grid = np.geomspace(report.aggregates["u_ref"], float(report.pooled.values[-1]), 40)
     good = [
         (f, e)
         for f, e in zip(report.fits, report.per_set_errors)
@@ -182,6 +180,14 @@ def frozen_figure_rows(report) -> list[tuple[float, ...]]:
             float(m4[i]),
         ))
     return rows
+
+
+# the frozen oracle's names of the aggregates that the report keeps under another key
+AGGREGATE_KEYS = {
+    "exceed_mean": "exceed_at_u_ref_mean",
+    "exceed_std": "exceed_at_u_ref_std1",
+    "mean_excess_std": "mean_excess_std1",
+}
 
 
 REPORT_SHAPES = ["tiny-run", "shared-threshold", "one-set", "degenerate-set", "many-sets"]
@@ -400,19 +406,20 @@ class TestRunExperiment:
 
     def test_aggregates_recomputable_from_lists(self, tiny_run):
         _, report = tiny_run
-        assert report.exceed_mean == pytest.approx(
+        aggregates = report.aggregates
+        assert aggregates["exceed_at_u_ref_mean"] == pytest.approx(
             float(np.mean(report.exceed_at_u_ref)), abs=1e-15
         )
-        assert report.exceed_std == pytest.approx(
+        assert aggregates["exceed_at_u_ref_std1"] == pytest.approx(
             float(np.std(report.exceed_at_u_ref, ddof=1)), abs=1e-15
         )
-        assert report.mean_excess_mean == pytest.approx(
+        assert aggregates["mean_excess_mean"] == pytest.approx(
             float(np.mean(report.mean_excesses)), abs=1e-15
         )
 
     def test_u_ref_is_median_threshold(self, tiny_run):
         _, report = tiny_run
-        assert report.u_ref == float(np.median([f.u for f in report.fits]))
+        assert report.aggregates["u_ref"] == float(np.median([f.u for f in report.fits]))
 
     def test_mean_excess_matches_fits(self, tiny_run):
         _, report = tiny_run
@@ -515,7 +522,7 @@ class TestRunExperiment:
         assert report.failures == [(1, "tied order statistics")]
         assert report.fits[1] is None
         table = report.figure
-        assert table[0, 0] == report.u_ref
+        assert table[0, 0] == report.aggregates["u_ref"]
         assert 0.0 <= table[0, 1] <= 1.0
 
         path = tmp_path / "report.txt"
@@ -610,16 +617,19 @@ class TestReportOracle:
         want = frozen_aggregates(report)
         assert len(want["exceed_at_u_ref"]) == len(report.exceed_at_u_ref)
         for name, value in want.items():
-            assert same_bits(getattr(report, name), value), name
+            key = AGGREGATE_KEYS.get(name, name)
+            got = report.aggregates[key] if key in report.aggregates else getattr(report, name)
+            assert same_bits(got, value), name
         assert all(type(v) is float for v in report.exceed_at_u_ref)
 
     def test_many_sets_tell_the_two_reductions_apart(self, tiny_run, tmp_path):
         # the figure's mean at u_ref is not the aggregate's mean in the last
         # bit, so the oracle above sees a merge of the two reductions
         report = report_of_shape("many-sets", tiny_run, tmp_path)
-        assert report.figure[0, 0] == report.u_ref
-        assert report.figure[0, 1] != report.exceed_mean
-        assert report.figure[0, 1] == pytest.approx(report.exceed_mean, rel=1e-15)
+        mean = report.aggregates["exceed_at_u_ref_mean"]
+        assert report.figure[0, 0] == report.aggregates["u_ref"]
+        assert report.figure[0, 1] != mean
+        assert report.figure[0, 1] == pytest.approx(mean, rel=1e-15)
 
     def test_reports_from_the_same_inputs_are_equal(self, tmp_path):
         report = synthetic_report(tmp_path)
@@ -632,7 +642,17 @@ class TestReportOracle:
         errors = ErrorSample(np.linspace(0.0, 1.0, 100))
         fit = TailFit(n=100, k=5, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
         with pytest.raises(ValueError, match="^pooled maximum does not exceed"):
-            ExperimentReport(config, 0, [fit], [], errors, [errors], HAND_TRAINING)
+            ExperimentReport(config, 0, [fit], [], [errors], HAND_TRAINING)
+
+    def test_fits_and_error_sets_must_pair_up(self, tmp_path):
+        # two fits over one error set used to read fitted_sets = 1, and
+        # write_report then ran out of per-set values
+        report = synthetic_report(tmp_path, test_sets=2)
+        message = "^need one fit per error set, got 2 fits and 1 error sets$"
+        with pytest.raises(ValueError, match=message):
+            replace(report, per_set_errors=report.per_set_errors[:1])
+        with pytest.raises(ValueError, match="got 1 fits and 2 error sets$"):
+            replace(report, fits=report.fits[:1])
 
     def test_run_without_a_figure_writes_no_output(self, tmp_path, monkeypatch):
         # the report is rejected when it is built, before report.txt is written
@@ -716,7 +736,7 @@ class TestFigure:
         u = report.fits[0].u
         assert all(f.u == u for f in report.fits)
         row = report.figure[0]
-        assert row[0] == report.u_ref == u
+        assert row[0] == report.aggregates["u_ref"] == u
         # every set contributes exactly k/N at the shared threshold; the
         # cross-set mean and band collapse onto it up to averaging ulps
         assert row[1] == pytest.approx(rate, abs=1e-15)
@@ -726,7 +746,7 @@ class TestFigure:
     def test_default_grid_spans_threshold_to_max(self, tiny_run):
         _, report = tiny_run
         grid = report.figure[:, 0]
-        assert grid[0] == pytest.approx(report.u_ref, rel=1e-12)
+        assert grid[0] == pytest.approx(report.aggregates["u_ref"], rel=1e-12)
         assert grid[-1] == pytest.approx(float(report.pooled.values[-1]), rel=1e-12)
         assert grid.size == FIGURE_POINTS == 40
 
