@@ -15,19 +15,33 @@ in fixed index order, so identical seeds reproduce identical weights bit
 for bit.
 
 Evaluation (:func:`forward_batch`, and through it :func:`error_sample` and
-the per-epoch training curves) walks its rows in fixed blocks of
-``EVAL_BLOCK_ROWS`` from row 0 and holds one block per layer, so its working
-memory does not grow with the row count. A row's last bit depends on the
-rows that share its matrix product, so the reproducibility unit is the call:
-the same model and the same rows in the same order give the same bits, while
-a subset or a reordering of the rows may differ in the last ulp.
+the per-epoch training curves) cuts its rows into fixed blocks of
+``EVAL_BLOCK_ROWS`` from row 0. A row's last bit depends on the rows that
+share its matrix product, so the reproducibility unit is the call: the same
+model and the same rows in the same order give the same bits, while a subset
+or a reordering of the rows may differ in the last ulp. A block's bits
+depend only on its own rows, so a call of at least ``_THREADED_BLOCKS``
+blocks spreads them over one thread per usable core, each holding one block
+per layer: working memory grows with the thread count, not the row count.
+
+:func:`train` and :func:`forward_batch` pin numpy's bundled OpenBLAS to one
+thread while they run and restore the caller's count on return, so their
+bits do not depend on the BLAS thread count, and training uses no BLAS
+threads. Where that library or its thread functions are not loaded there is
+no pin: the blocks run one after another, and the BLAS thread count is part
+of the reproducibility unit.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -40,8 +54,13 @@ from .tail import ErrorSample
 MODEL_FORMAT_VERSION = 1
 DEFAULT_TARGET_SCALE = 100.0
 # rows per evaluation block: one 512 x 300 activation is 1.2 MB, which fits
-# a 2 MB L2, and a set of at most 512 rows is evaluated in one product
+# a 2 MB L2, and a set of at most 512 rows is evaluated in one product. Each
+# evaluation thread holds one block per layer.
 EVAL_BLOCK_ROWS = 512
+# a call of this many blocks or more spreads them over one thread per core; a
+# 512 x 300 x 300 product runs ~2 ms with the GIL released, but below this the
+# threads' start-up costs more CPU than the overlap saves
+_THREADED_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -192,14 +211,88 @@ def _forward_raw(
     return a[:, 0], activations
 
 
+@cache
+def _openblas():
+    """The thread-count getter and setter of the loaded scipy-openblas
+    library numpy ships, or None where it or either symbol is missing."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            path = next(
+                line.split(maxsplit=5)[5].strip()
+                for line in maps
+                if "libscipy_openblas" in line
+            )
+        lib = ctypes.CDLL(path)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (OSError, StopIteration, IndexError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# the BLAS thread count is one per process, and so is the pin's state: the
+# number of pinned calls running and the count to restore after the last
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with the BLAS on one thread; yields whether it is pinned.
+    Reentrant: the outermost entry saves the caller's count and the last
+    exit restores it."""
+    global _pin_depth, _pin_saved
+    blas = _openblas()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield True
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted prices in USD for an (n, d) input matrix, evaluated in
-    blocks of ``EVAL_BLOCK_ROWS`` rows from row 0 (see the module notes)."""
+    blocks of ``EVAL_BLOCK_ROWS`` rows from row 0, on one thread per core
+    for a long call (see the module notes)."""
     x = np.asarray(x, dtype=float)
     raw = np.empty(len(x))
-    for start in range(0, len(x), EVAL_BLOCK_ROWS):
+    starts = range(0, len(x), EVAL_BLOCK_ROWS)
+
+    def block(start: int) -> None:
         stop = start + EVAL_BLOCK_ROWS
         raw[start:stop] = _forward_raw(model, x[start:stop])[0]
+
+    with _one_blas_thread() as pinned:
+        threads = _usable_cores() if pinned and len(starts) >= _THREADED_BLOCKS else 1
+        if threads > 1:
+            # opened per call, so no thread outlives it into a pricing fork
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(block, starts))
+        else:
+            for start in starts:
+                block(start)
     raw *= model.target_scale
     return raw
 
@@ -294,6 +387,7 @@ def _mse_usd(model: MlpModel, x: np.ndarray, y_usd: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
+@_one_blas_thread()
 def train(
     x,
     prices,
@@ -307,7 +401,8 @@ def train(
     The validation split holds out round(validation_fraction * size) points,
     at least one, chosen by a seeded shuffle; every epoch reshuffles the remaining
     training rows and walks them in mini-batches (the final batch may be
-    short). Fully deterministic given (x, prices, widths, config).
+    short). Fully deterministic given (x, prices, widths, config), on one
+    BLAS thread (see the module notes).
     """
     x_all, y_all = _labeled(x, prices)
     train_size, val_size = split_sizes(len(y_all), config)

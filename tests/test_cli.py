@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import errortail
 from errortail.cli import build_parser, main
 from errortail.experiment import ExperimentConfig
 from errortail.gpd import GpdParams, gpd_sample
@@ -13,10 +17,11 @@ from errortail.pricing import (
     OptionContract,
     price_contracts,
     sample_uniform,
+    C_TEST,
     C_TRAIN,
     write_priced_csv,
 )
-from errortail.mlp import EVAL_BLOCK_ROWS, TrainConfig, init_model, save_model
+from errortail.mlp import EVAL_BLOCK_ROWS, TrainConfig, _openblas, init_model, save_model
 from errortail.tail import ErrorSample, read_error_csv, write_error_csv
 
 
@@ -287,6 +292,36 @@ class TestTrainAndErrors:
         assert code == 0
         sample = read_error_csv(errors_path)
         assert sample.n == 300
+
+    @pytest.mark.skipif(
+        _openblas() is None,
+        reason="numpy's bundled OpenBLAS thread functions are not loaded, so nothing "
+        "pins the BLAS thread count and it is part of the reproducibility unit",
+    )
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # width 300 makes both BLAS thread counts split the products; the test
+        # set is 10 blocks, enough for the threaded evaluation
+        for name, box, rows, seed in (("train.csv", C_TRAIN, 200, 1), ("test.csv", C_TEST, 5000, 2)):
+            contracts = sample_uniform(box, rows, seed)
+            write_priced_csv(tmp_path / name, contracts, price_contracts(contracts, steps=20))
+        src = str(Path(errortail.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            run_dir = tmp_path / f"threads-{threads}"
+            run_dir.mkdir()
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            # relative paths, because errors.csv records the model and data paths
+            for argv in (
+                ["train", "--data", "../train.csv", "--out", "model.json",
+                 "--widths", "5,300,300,1", "--epochs", "1"],
+                ["errors", "--model", "model.json", "--data", "../test.csv", "--out", "errors.csv"],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "errortail.cli", *argv],
+                    cwd=run_dir, env=env, check=True, capture_output=True,
+                )
+            outputs.append([(run_dir / f).read_bytes() for f in ("model.json", "errors.csv")])
+        assert outputs[0] == outputs[1]
 
     def test_paper_scale_and_widths_are_exclusive(self, capsys, tmp_path):
         # one of the two would be ignored

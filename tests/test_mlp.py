@@ -2,12 +2,16 @@ import io
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from errortail import mlp
 from errortail.mlp import (
     EVAL_BLOCK_ROWS,
     TrainConfig,
@@ -180,8 +184,8 @@ class TestBlockedEvaluation:
 
     WIDTHS = [5, 32, 32, 1]
 
-    def model_and_rows(self, rows: int):
-        model = init_model(self.WIDTHS, seed=21)
+    def model_and_rows(self, rows: int, widths=WIDTHS):
+        model = init_model(widths, seed=21)
         for i, b in enumerate(model.biases):
             b[:] = generator(22 + i).normal(scale=0.1, size=b.shape)
         return model, contract_terms(sample_uniform(C_TRAIN, rows, seed=23))
@@ -211,9 +215,51 @@ class TestBlockedEvaluation:
         model, x = self.model_and_rows(1)
         assert forward_batch(model, x[:0]).shape == (0,)
 
-    def test_memory_is_bounded_by_the_block(self):
+    @staticmethod
+    def serial_forward_batch(model, x):
+        """The serial block loop of forward_batch before it used threads,
+        here on the one BLAS thread forward_batch pins."""
+        x = np.asarray(x, dtype=float)
+        raw = np.empty(len(x))
+        with mlp._one_blas_thread():
+            for start in range(0, len(x), EVAL_BLOCK_ROWS):
+                stop = start + EVAL_BLOCK_ROWS
+                raw[start:stop] = _forward_raw(model, x[start:stop])[0]
+        raw *= model.target_scale
+        return raw
+
+    @pytest.mark.parametrize("widths", [WIDTHS, [5, 300, 300, 1]])
+    def test_threaded_call_equals_the_serial_loop_bitwise(self, widths):
+        model, x = self.model_and_rows(9 * EVAL_BLOCK_ROWS + 37, widths)
+        threads = threading.active_count()
+        out = forward_batch(model, x)
+        assert threading.active_count() == threads
+        assert out.tobytes() == self.serial_forward_batch(model, x).tobytes()
+
+    @pytest.mark.skipif(
+        mlp._openblas() is None or mlp._usable_cores() < 2,
+        reason="the blocks run serially without the BLAS pin or a second core",
+    )
+    def test_long_call_spreads_its_blocks_over_threads(self, monkeypatch):
+        model, x = self.model_and_rows(16 * EVAL_BLOCK_ROWS)
+        callers = set()
+
+        def recording(model, x):
+            callers.add(threading.get_ident())
+            return _forward_raw(model, x)
+
+        monkeypatch.setattr(mlp, "_forward_raw", recording)
+        forward_batch(model, x)
+        assert threading.get_ident() not in callers and len(callers) > 1
+        callers.clear()
+        forward_batch(model, x[: 7 * EVAL_BLOCK_ROWS])
+        assert callers == {threading.get_ident()}
+
+    def test_memory_is_bounded_by_the_block(self, monkeypatch):
         # a whole-call pass over 20,000 rows at width 300 holds two
-        # (20,000 x 300) activations, about 96 MB
+        # (20,000 x 300) activations, about 96 MB; with two threads, two
+        # blocks are in flight, and each may hold 4 block activations
+        monkeypatch.setattr(mlp, "_usable_cores", lambda: 2)
         rows, width = 20_000, 300
         model = init_model([5, width, width, width, 1], seed=24)
         x = contract_terms(sample_uniform(C_TRAIN, rows, seed=25))
@@ -224,7 +270,7 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert out.shape == (rows,)
-        assert peak < 4 * EVAL_BLOCK_ROWS * width * 8 + rows * 8
+        assert peak < 2 * 4 * EVAL_BLOCK_ROWS * width * 8 + rows * 8
 
 
 class TestGradient:
@@ -390,6 +436,51 @@ def test_train_matches_the_frozen_functional_step_bitwise():
     oracle = frozen_train(x, y, [5, 8, 8, 1], config, UNIT_BOX)
     for got, want in zip(model.parameters(), oracle.parameters(), strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.skipif(mlp._openblas() is None, reason="numpy's bundled OpenBLAS is not loaded")
+def test_blas_pin_holds_through_train_and_restores_the_callers_count(monkeypatch):
+    get, set_ = mlp._openblas()
+    seen = []
+
+    def recording(model, x, keep_activations=False):
+        seen.append(get())
+        return _forward_raw(model, x, keep_activations)
+
+    monkeypatch.setattr(mlp, "_forward_raw", recording)
+    caller = get()
+    set_(3)
+    try:
+        # train's per-epoch curves call forward_batch, which pins again
+        train(*toy_set(60, seed=9), [5, 4, 1], TrainConfig(epochs=2, batch_size=10),
+              input_box=UNIT_BOX)
+        assert get() == 3
+    finally:
+        set_(caller)
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.skipif(mlp._openblas() is None, reason="numpy's bundled OpenBLAS is not loaded")
+def test_concurrent_callers_share_one_pin():
+    # more callers than cores, each a threaded call, with frequent thread
+    # switches: a lost update of the pin's depth would leave one caller on
+    # the caller's count or fail to restore it
+    get, set_ = mlp._openblas()
+    model = init_model([5, 300, 300, 1], seed=26)
+    x = contract_terms(sample_uniform(C_TRAIN, 9 * EVAL_BLOCK_ROWS, seed=27))
+    want = TestBlockedEvaluation.serial_forward_batch(model, x)
+    caller, interval = get(), sys.getswitchinterval()
+    set_(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            futures = [callers.submit(forward_batch, model, x) for _ in range(12)]
+            outs = [f.result(timeout=120) for f in futures]
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(caller)
+    assert all(out.tobytes() == want.tobytes() for out in outs)
 
 
 # inputs rejected by name before any work: a NaN, inf or bool real, and a
