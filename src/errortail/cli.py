@@ -19,8 +19,8 @@ from . import mlp, pricing, tail
 from .gpd import GpdParams, gpd_sample
 from .textio import PARSERS, key_value_text, parse_widths, read_fields
 
-# TrainConfig fields that ``train`` takes from the flags of the same name.
-_TRAIN_FLAGS = ("epochs", "batch_size", "validation_fraction", "learning_rate", "seed")
+# ``train`` takes each TrainConfig field from the flag of the same name.
+_TRAIN_FLAGS = tuple(f.name for f in fields(mlp.TrainConfig))
 # the flags of ``gpd-sample`` and their types; each is also a comment line of its CSV
 _GPD_SAMPLE_FLAGS = {"gamma": float, "sigma": float, "count": int, "seed": int}
 
@@ -56,8 +56,10 @@ def _cmd_train(args) -> int:
     model, report = mlp.train(x, prices, widths, config)
     mlp.save_model(model, args.out)
     print(f"model written to {args.out}")
-    print(f"final_train_mse_usd2 = {report.train_mse[-1]!r}")
-    print(f"final_validation_mse_usd2 = {report.validation_mse[-1]!r}")
+    sys.stdout.write(key_value_text({
+        "final_train_mse_usd2": report.train_mse[-1],
+        "final_validation_mse_usd2": report.validation_mse[-1],
+    }))
     return 0
 
 

@@ -70,8 +70,10 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self) -> None:
-        """Reject settings the run would fail on, before any pricing."""
+        """Derive ``train_config.seed``; reject what the run would fail on, before any pricing."""
         check_fields(self)
+        train_config = replace(self.train_config, seed=stage_seed(self.master_seed, "train"))
+        object.__setattr__(self, "train_config", train_config)
         if 2 * self.k > self.test_set_size:
             raise ValueError(
                 f"need 2k <= test_set_size, got k={self.k}, "
@@ -116,7 +118,6 @@ class ExperimentReport:
     derived on construction."""
 
     config: ExperimentConfig
-    resolved_train_seed: int
     fits: list[TailFit | None]
     failures: list[tuple[int, str]]
     per_set_errors: list[ErrorSample]
@@ -229,9 +230,7 @@ def run_experiment(
 
     priced = _priced_sets(_sampled_sets(config), config.tree_steps, workers)
     train_x, train_prices = next(priced)
-    train_seed = stage_seed(config.master_seed, "train")
-    train_cfg = replace(config.train_config, seed=train_seed)
-    model, training_report = train(train_x, train_prices, config.widths, train_cfg)
+    model, training_report = train(train_x, train_prices, config.widths, config.train_config)
 
     fits: list[TailFit | None] = []
     failures: list[tuple[int, str]] = []
@@ -245,7 +244,7 @@ def run_experiment(
             fits.append(None)
             failures.append((i, str(exc)))
 
-    report = ExperimentReport(config, train_seed, fits, failures, per_set_errors, training_report)
+    report = ExperimentReport(config, fits, failures, per_set_errors, training_report)
 
     write_report(report, out_dir / "report.txt")
     emit_figure_csv(report, out_dir / "figure1.csv")
@@ -298,14 +297,14 @@ def format_probability(p: float) -> str:
 
 def _config_comments(report: ExperimentReport) -> dict:
     """The run's configuration fields as text, in file order, without
-    ``output_dir`` and with the resolved training seed."""
+    ``output_dir`` and with the derived training seed."""
     config = report.config
     comments = {"config_version": CONFIG_VERSION}
     for f, owner in _file_fields():
         if f.name != "output_dir":
             value = getattr(config.train_config if owner is TrainConfig else config, f.name)
             comments[f.name] = ",".join(map(str, value)) if f.name == "widths" else str(value)
-    comments["train_seed"] = report.resolved_train_seed
+    comments["train_seed"] = config.train_config.seed
     return comments
 
 

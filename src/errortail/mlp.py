@@ -61,20 +61,19 @@ EVAL_BLOCK_ROWS = 512
 # 512 x 300 x 300 product runs ~2 ms with the GIL released, but below this the
 # threads' start-up costs more CPU than the overlap saves
 _THREADED_BLOCKS = 8
+# Adam's decay rates and denominator guard: Kingma & Ba's (2015) defaults
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and schedule settings for :func:`train`. Each field declares
+    """Learning rate, schedule and seed for :func:`train`. Each field declares
     its rule (see :func:`~errortail.rng.check_fields`)."""
 
     epochs: int = field(default=20, metadata={"minimum": 1})
     batch_size: int = field(default=100, metadata={"minimum": 1})
     validation_fraction: float = field(default=0.2, metadata={"interval": (0, 1)})
     learning_rate: float = field(default=1e-3, metadata={"interval": (0, math.inf)})
-    adam_beta1: float = field(default=0.9, metadata={"interval": (0, 1)})
-    adam_beta2: float = field(default=0.999, metadata={"interval": (0, 1)})
-    adam_epsilon: float = field(default=1e-8, metadata={"interval": (0, math.inf)})
     seed: int = field(default=0, metadata={"minimum": None})
 
     def __post_init__(self) -> None:
@@ -276,7 +275,9 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted prices in USD for an (n, d) input matrix, evaluated in
     blocks of ``EVAL_BLOCK_ROWS`` rows from row 0, on one thread per core
     for a long call (see the module notes)."""
-    x = np.asarray(x, dtype=float)
+    x, d = np.asarray(x, dtype=float), len(model.input_lower)
+    if not (x.ndim == 2 and x.shape[1] == d):
+        raise ValueError(f"inputs must be an (n, {d}) array, got shape {x.shape}")
     raw = np.empty(len(x))
     starts = range(0, len(x), EVAL_BLOCK_ROWS)
 
@@ -349,10 +350,10 @@ def adam_step(
     step: int,
     config: TrainConfig,
 ) -> None:
-    """Bias-corrected Adam update number ``step`` (counted from 1), in place
-    on the parameter arrays ``params`` and their first and second moments
-    ``moments``, one (m, v) pair per parameter array. The shapes are checked
-    before any array changes."""
+    """Bias-corrected Adam update number ``step`` (counted from 1) at
+    ``config.learning_rate``, in place on the parameter arrays ``params`` and
+    their first and second moments ``moments``, one (m, v) pair per parameter
+    array. The shapes are checked before any array changes."""
     if len(grads) != len(params):
         raise ValueError("gradient list does not match the parameter list")
     for theta, g in zip(params, grads):
@@ -360,7 +361,7 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter shape {theta.shape}"
             )
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**step
     c2 = 1.0 - b2**step
     for theta, (m, v), g in zip(params, moments, grads):
@@ -368,7 +369,7 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
-        theta -= config.learning_rate * ((m / c1) / (np.sqrt(v / c2) + config.adam_epsilon))
+        theta -= config.learning_rate * ((m / c1) / (np.sqrt(v / c2) + ADAM_EPSILON))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from errortail.experiment import (
     run_experiment,
     write_report,
 )
-from errortail.mlp import TrainConfig, TrainingReport
+from errortail.mlp import TrainConfig, TrainingReport, train
 from errortail.pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
 from errortail.rng import stage_seed
 from errortail.tail import (
@@ -83,7 +83,7 @@ def synthetic_report(tmp_path, shared_u=True, test_sets=3):
         sample = ErrorSample(base)
         per_set.append(sample)
         fits.append(tail_fit(sample, config.k))
-    return ExperimentReport(config, 0, fits, [], per_set, HAND_TRAINING)
+    return ExperimentReport(config, fits, [], per_set, HAND_TRAINING)
 
 
 def degenerate_report(tmp_path):
@@ -102,7 +102,7 @@ def degenerate_report(tmp_path):
             sample = ErrorSample(rng.random(100))
             per_set.append(sample)
             fits.append(tail_fit(sample, config.k))
-    return ExperimentReport(config, 0, fits, failures, per_set, HAND_TRAINING)
+    return ExperimentReport(config, fits, failures, per_set, HAND_TRAINING)
 
 
 def frozen_set_exceedance_estimate(fit, errors, x):
@@ -293,11 +293,29 @@ class TestConfig:
         assert paper.k == 270 and paper.tree_steps == 1000
         assert paper.widths == (5, 300, 300, 300, 1)
 
+    def test_training_seed_derives_from_the_master_seed(self):
+        config = desk_scale_config(master_seed=9, train_config=TrainConfig(seed=123))
+        assert config.train_config.seed == stage_seed(9, "train")
+        assert replace(config, master_seed=-4).train_config.seed == stage_seed(-4, "train")
+        assert config == desk_scale_config(master_seed=9)
+
+    def test_run_trains_with_the_config_as_it_stands(self, tmp_path, monkeypatch):
+        seen = []
+
+        def recording(x, prices, widths, train_config):
+            seen.append(train_config)
+            return train(x, prices, widths, train_config)
+
+        monkeypatch.setattr(experiment, "train", recording)
+        config = tiny_config(tmp_path, test_sets=1)
+        report = run_experiment(config)
+        assert len(seen) == 1 and seen[0] is config.train_config
+        assert _config_comments(report)["train_seed"] == stage_seed(7, "train")
+
     def test_config_file_round_trip(self, tmp_path):
         # every key, each set away from its default
         train_config = TrainConfig(
             epochs=2, batch_size=50, validation_fraction=0.25, learning_rate=0.002,
-            adam_beta1=0.8, adam_beta2=0.99, adam_epsilon=1e-07,
         )
         config = tiny_config(tmp_path, master_seed=42, train_config=train_config)
         path = tmp_path / "config.txt"
@@ -313,9 +331,6 @@ class TestConfig:
             "batch_size = 50\n"
             "validation_fraction = 0.25\n"
             "learning_rate = 0.002\n"
-            "adam_beta1 = 0.8\n"
-            "adam_beta2 = 0.99\n"
-            "adam_epsilon = 1e-07\n"
             "master_seed = 42\n"
             f"output_dir = {config.output_dir}\n"
         )
@@ -335,6 +350,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="mystery"):
             load_config(path)
 
+    @pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_epsilon"])
+    def test_config_file_rejects_adam_constants(self, tmp_path, key):
+        # Adam's constants are mlp.ADAM_*, not config keys
+        path = tmp_path / "config.txt"
+        path.write_text(f"config_version = 1\n{key} = 0.5\n")
+        message = re.escape(f"{path}: unknown config key {key!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_config(path)
+
     def test_config_file_rejects_bad_value(self, tmp_path):
         path = tmp_path / "config.txt"
         path.write_text("config_version = 1\nk = soon\n")
@@ -347,7 +371,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="config.txt: epochs"):
             load_config(path)
 
-    @pytest.mark.parametrize("key", ["learning_rate", "adam_epsilon"])
+    @pytest.mark.parametrize("key", ["learning_rate"])
     @pytest.mark.parametrize("text", ["nan", "inf"])
     def test_config_file_rejects_nan_and_inf_reals(self, tmp_path, key, text):
         # rejected at load, before any pricing: a NaN learning rate trains an
@@ -642,7 +666,7 @@ class TestReportOracle:
         errors = ErrorSample(np.linspace(0.0, 1.0, 100))
         fit = TailFit(n=100, k=5, u=1.0, xstar_hat=2.0, gamma_hat=-0.5)
         with pytest.raises(ValueError, match="^pooled maximum does not exceed"):
-            ExperimentReport(config, 0, [fit], [], [errors], HAND_TRAINING)
+            ExperimentReport(config, [fit], [], [errors], HAND_TRAINING)
 
     def test_fits_and_error_sets_must_pair_up(self, tmp_path):
         # two fits over one error set used to read fitted_sets = 1, and
@@ -700,7 +724,7 @@ class TestFigure:
         assert list(_config_comments(report)) == [
             "config_version", "train_samples", "test_sets", "test_set_size", "k", "tree_steps",
             "widths", "epochs", "batch_size", "validation_fraction", "learning_rate",
-            "adam_beta1", "adam_beta2", "adam_epsilon", "master_seed", "train_seed",
+            "master_seed", "train_seed",
         ]
 
     def test_figure_embeds_configuration(self, tiny_run):

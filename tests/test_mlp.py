@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -7,12 +8,16 @@ import threading
 import tracemalloc
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from errortail import mlp
 from errortail.mlp import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     EVAL_BLOCK_ROWS,
     TrainConfig,
     _forward_raw,
@@ -215,6 +220,17 @@ class TestBlockedEvaluation:
         model, x = self.model_and_rows(1)
         assert forward_batch(model, x[:0]).shape == (0,)
 
+    @pytest.mark.parametrize(
+        "shape", [(5,), (3, 4), (2, 5, 1)], ids=["row", "missing-column", "trailing-axis"]
+    )
+    def test_rejects_a_wrong_shape_by_name(self, shape):
+        # a 1-D row, a missing column and a trailing axis used to fail deep
+        # in numpy's indexing or broadcasting
+        model, _ = self.model_and_rows(1)
+        message = re.escape(f"inputs must be an (n, 5) array, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            forward_batch(model, np.ones(shape))
+
     @staticmethod
     def serial_forward_batch(model, x):
         """The serial block loop of forward_batch before it used threads,
@@ -241,10 +257,15 @@ class TestBlockedEvaluation:
         reason="the blocks run serially without the BLAS pin or a second core",
     )
     def test_long_call_spreads_its_blocks_over_threads(self, monkeypatch):
+        # the first two blocks meet at a barrier: one worker alone would
+        # hold the first and time out, so two workers run blocks at once
         model, x = self.model_and_rows(16 * EVAL_BLOCK_ROWS)
         callers = set()
+        meeting, arrivals = threading.Barrier(2, timeout=30), itertools.count()
 
         def recording(model, x):
+            if next(arrivals) < 2:  # one C call under the GIL: each block its own number
+                meeting.wait()
             callers.add(threading.get_ident())
             return _forward_raw(model, x)
 
@@ -339,9 +360,7 @@ class TestAdam:
         params = [start.copy()]
         grads = [np.array([0.5, -0.25, 1.0])]
         adam_step(params, self.moments(params), grads, 1, config)
-        expected = start - config.learning_rate * grads[0] / (
-            np.abs(grads[0]) + config.adam_epsilon
-        )
+        expected = start - config.learning_rate * grads[0] / (np.abs(grads[0]) + ADAM_EPSILON)
         np.testing.assert_allclose(params[0], expected, rtol=1e-12)
 
     def test_zero_gradient_is_fixed_point(self):
@@ -361,12 +380,7 @@ class TestAdam:
             adam_step(params, moments, [np.array([grad_value])], step, config)
 
         theta, m, v = 1.0, 0.0, 0.0
-        b1, b2, eps, lr = (
-            config.adam_beta1,
-            config.adam_beta2,
-            config.adam_epsilon,
-            config.learning_rate,
-        )
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, config.learning_rate
         for t in (1, 2):
             m = b1 * m + (1 - b1) * grad_value
             v = b2 * v + (1 - b2) * grad_value**2
@@ -389,9 +403,9 @@ FrozenAdamState = namedtuple("FrozenAdamState", "tensors m v step")
 
 def frozen_adam_step(state, grads, config):
     """The functional Adam step train ran before its update went in place:
-    every step returns new arrays. Kept unchanged as the trainer's
-    bit-identity oracle."""
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    every step returns new arrays. Kept as the trainer's bit-identity
+    oracle; only its Adam constants moved from the config to the module."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     t = state.step + 1
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
@@ -399,7 +413,7 @@ def frozen_adam_step(state, grads, config):
     for theta, m, v, g in zip(state.tensors, state.m, state.v, grads):
         m_new = b1 * m + (1.0 - b1) * g
         v_new = b2 * v + (1.0 - b2) * (g * g)
-        update = (m_new / c1) / (np.sqrt(v_new / c2) + config.adam_epsilon)
+        update = (m_new / c1) / (np.sqrt(v_new / c2) + ADAM_EPSILON)
         tensors.append(theta - config.learning_rate * update)
         ms.append(m_new)
         vs.append(v_new)
@@ -498,7 +512,7 @@ NEWLY_REJECTED = [
             lambda name=name, value=value: TrainConfig(**{name: value}),
             f"{name} must be in (0, inf), got {value}", id=f"{name}-{value}",
         )
-        for name in ("learning_rate", "adam_epsilon")
+        for name in ("learning_rate",)
         for value in (math.nan, math.inf, True)
     ),
     pytest.param(
@@ -538,8 +552,14 @@ class TestTrainConfigValidation:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError, match="validation_fraction"):
             TrainConfig(validation_fraction=1.0)
-        with pytest.raises(ValueError, match="adam_beta1"):
-            TrainConfig(adam_beta1=1.0)
+
+    def test_fields_are_the_settings_callers_set(self):
+        # Adam's other constants are Kingma & Ba's defaults, fixed in mlp
+        names = [f.name for f in fields(TrainConfig)]
+        assert names == ["epochs", "batch_size", "validation_fraction", "learning_rate", "seed"]
+        assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError, match="adam_beta1"):
+            TrainConfig(adam_beta1=0.9)
 
     @pytest.mark.parametrize("value", [True, 2.5, 2.0])
     @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
