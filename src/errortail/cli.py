@@ -17,7 +17,7 @@ from pathlib import Path
 from . import experiment as exp
 from . import mlp, pricing, tail
 from .gpd import GpdParams, gpd_sample
-from .textio import PARSERS, key_value_text, parse_widths, read_fields
+from .textio import PARSERS, key_value_text, parse_widths, read_fields, replacing
 
 # ``train`` takes each TrainConfig field from the flag of the same name.
 _TRAIN_FLAGS = tuple(f.name for f in fields(mlp.TrainConfig))
@@ -79,7 +79,8 @@ def _cmd_fit_tail(args) -> int:
     text = key_value_text(asdict(fit))
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with replacing(args.out) as fh:
+            fh.write(text)
     return 0
 
 
@@ -112,7 +113,7 @@ def _cmd_experiment(args) -> int:
     config = exp.load_config(args.config, base=base) if args.config else base
     overrides = {"master_seed": args.seed, "k": args.k, "output_dir": args.out}
     config = replace(config, **{key: v for key, v in overrides.items() if v is not None})
-    report = exp.run_experiment(config, workers=args.workers)
+    report = exp.run_experiment(config)
     sys.stdout.write(key_value_text(report.aggregates))
     print(f"outputs in {Path(config.output_dir)}")
     return 0
@@ -179,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override master_seed")
     p.add_argument("--k", type=int, help="override k")
     p.add_argument("--out", help="override output_dir")
-    p.add_argument("--workers", type=int, help="parallel pricing processes")
     p.set_defaults(func=_cmd_experiment)
 
     return parser

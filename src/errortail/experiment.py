@@ -17,9 +17,9 @@ timestamps, which makes reruns byte-identical.
 The tree prices consecutive whole sets together: the training set and the
 test sets, in run order, are grouped up to ``PRICING_GROUP`` contracts (a
 larger set alone), and each group is one ``price_contracts`` call, so its
-chunks share one boundary sort and, with workers, one pool. The kernel
-never mixes contracts, so every price has the bits of pricing its set
-alone.
+chunks share one boundary sort and, for a large enough group, one process
+pool. The kernel never mixes contracts, so every price has the bits of
+pricing its set alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .mlp import TrainConfig, TrainingReport, check_widths, error_sample, split_sizes, train
 from .pricing import C_TEST, C_TRAIN, contract_terms, price_contracts, sample_uniform
-from .rng import check_fields, check_integer, stage_seed
+from .rng import check_fields, stage_seed
 from .tail import (
     DegenerateSampleError,
     ErrorSample,
@@ -45,7 +45,7 @@ from .tail import (
     tail_fit,
     write_error_csv,
 )
-from .textio import PARSERS, key_value_text, read_fields, write_table
+from .textio import PARSERS, key_value_text, read_fields, replacing, write_table
 
 CONFIG_VERSION = 1
 REPORT_VERSION = 1
@@ -96,7 +96,7 @@ def _file_fields():
 
 def desk_scale_config(**overrides) -> ExperimentConfig:
     """Default configuration sized for a minutes-scale run."""
-    return replace(ExperimentConfig(), **overrides) if overrides else ExperimentConfig()
+    return ExperimentConfig(**overrides)
 
 
 def paper_scale_config() -> ExperimentConfig:
@@ -214,9 +214,7 @@ def _sample_std(values: Sequence[float]) -> float:
     return float(np.std(arr, ddof=1))
 
 
-def run_experiment(
-    config: ExperimentConfig, workers: int | None = None
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full pipeline and write report and figure files.
 
     Per-set fit failures (tied order statistics) are recorded and excluded
@@ -224,11 +222,10 @@ def run_experiment(
     report; ``report.txt``, ``figure1.csv`` and ``pooled_errors.csv`` land
     in ``config.output_dir``.
     """
-    workers = None if workers is None else check_integer("workers", workers, 1)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    priced = _priced_sets(_sampled_sets(config), config.tree_steps, workers)
+    priced = _priced_sets(_sampled_sets(config), config.tree_steps)
     train_x, train_prices = next(priced)
     model, training_report = train(train_x, train_prices, config.widths, config.train_config)
 
@@ -263,7 +260,7 @@ def _sampled_sets(config: ExperimentConfig) -> Iterator[np.ndarray]:
 
 
 def _priced_sets(
-    sets: Iterable[np.ndarray], steps: int, workers: int | None
+    sets: Iterable[np.ndarray], steps: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each set with its prices, in order. Consecutive whole sets are
     gathered up to ``PRICING_GROUP`` contracts, a larger set alone, and each
@@ -271,16 +268,14 @@ def _priced_sets(
     group: list[np.ndarray] = []
     for terms in sets:
         if group and sum(map(len, group)) + len(terms) > PRICING_GROUP:
-            yield from _price_group(group, steps, workers)
+            yield from _price_group(group, steps)
             group = []
         group.append(terms)
-    yield from _price_group(group, steps, workers)
+    yield from _price_group(group, steps)
 
 
-def _price_group(
-    group: list[np.ndarray], steps: int, workers: int | None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    prices = price_contracts(np.vstack(group), steps=steps, workers=workers)
+def _price_group(group: list[np.ndarray], steps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    prices = price_contracts(np.vstack(group), steps=steps)
     ends = np.cumsum([len(terms) for terms in group[:-1]])
     return zip(group, np.split(prices, ends))
 
@@ -346,7 +341,8 @@ def write_report(report: ExperimentReport, path) -> None:
     text = key_value_text({"report_version": REPORT_VERSION}) + "".join(
         f"\n[{name}]\n{body}" for name, body in sections.items()
     )
-    Path(path).write_text(text, encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(text)
 
 
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -47,9 +46,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .pricing import C_TRAIN, DomainBox, contract_terms
+from .pricing import C_TRAIN, DomainBox, contract_terms, usable_cores
 from .rng import check_fields, check_integer, generator, stage_seed
 from .tail import ErrorSample
+from .textio import replacing
 
 MODEL_FORMAT_VERSION = 1
 DEFAULT_TARGET_SCALE = 100.0
@@ -264,13 +264,6 @@ def _one_blas_thread():
                 set_(_pin_saved)
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Predicted prices in USD for an (n, d) input matrix, evaluated in
     blocks of ``EVAL_BLOCK_ROWS`` rows from row 0, on one thread per core
@@ -286,7 +279,7 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raw[start:stop] = _forward_raw(model, x[start:stop])[0]
 
     with _one_blas_thread() as pinned:
-        threads = _usable_cores() if pinned and len(starts) >= _THREADED_BLOCKS else 1
+        threads = usable_cores() if pinned and len(starts) >= _THREADED_BLOCKS else 1
         if threads > 1:
             # opened per call, so no thread outlives it into a pricing fork
             with ThreadPoolExecutor(threads) as pool:
@@ -466,7 +459,7 @@ def save_model(model: MlpModel, path) -> None:
         ],
     }
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(json.dumps(doc) + "\n")
 
 

@@ -60,8 +60,11 @@ one block of rows at a time.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -73,6 +76,9 @@ from .textio import BLOCK_ROWS, block_rows, line_of, read_table, write_table
 SPOT_REFERENCE = 100.0  # USD; makes one U.S. cent = 0.01 price units
 DEFAULT_TREE_STEPS = 1000
 CHUNK_NODES = 65_536  # terminal nodes per kernel call and per worker task
+# contracts x steps^2 from which a call prices on a process pool. On a shared 2-vCPU
+# Xeon two processes first beat one between 4.5e8 and 7.5e8 (see the README)
+POOL_WORK = 2**31
 _TRIM_MARGIN = 2.0**-40  # least (1 - disc)(1 - 1/up) the exercise trim is exact for
 _REMEASURE = 16  # levels between two measurements of the exercised rows
 
@@ -343,19 +349,24 @@ def crr_american_put(contract: OptionContract, steps: int = DEFAULT_TREE_STEPS) 
     return float(_crr_put_batch(tree, steps)[0])
 
 
-def price_contracts(
-    contracts, steps: int = DEFAULT_TREE_STEPS, workers: int | None = None
-) -> np.ndarray:
+def usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity, where the OS keeps one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def price_contracts(contracts, steps: int = DEFAULT_TREE_STEPS) -> np.ndarray:
     """Price many contracts (see :func:`contract_terms`); results follow input order.
 
     Every contract is checked for a no-arbitrage tree before any is priced;
-    an error names the caller's row. Pricing is pure, so the work may be
-    farmed across processes in chunks of :func:`contracts_per_chunk`
-    contracts. ``workers`` is None (serial) or an integer >= 1, and a pool
-    has at most one process per chunk; it does not affect the returned bits.
+    an error names the caller's row. The contracts are priced in chunks of
+    :func:`contracts_per_chunk` contracts, on a pool of one process per usable
+    core (and at most per chunk) for a call of ``POOL_WORK`` or more, else in
+    this process. Pricing is pure, so the choice does not affect the bits.
     """
     steps = check_integer("steps", steps, 1)
-    workers = 1 if workers is None else check_integer("workers", workers, 1)
     params = contract_terms(contracts)
     tree = _check_no_arbitrage(params, steps)
     order = _chunk_order(params)
@@ -365,18 +376,19 @@ def price_contracts(
     # each chunk is gathered when it is priced, and its prices put in place
     chunks = (tree[:, order[i : i + size]] for i in starts)
     prices = np.empty(len(order))
-
-    def place(parts) -> None:
+    # A pool forks all its processes at its first task: one per chunk at most. A
+    # daemonic process may have no children, and a start method other than fork
+    # would re-import the caller's main module in each worker.
+    pooled = (
+        len(order) * steps**2 >= POOL_WORK
+        and not multiprocessing.current_process().daemon
+        and multiprocessing.get_start_method() == "fork"
+    )
+    processes = min(usable_cores(), len(starts)) if pooled else 1
+    with ProcessPoolExecutor(max_workers=processes) if processes > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(_crr_put_batch, chunks, repeat(steps))
         for i, part in zip(starts, parts):
             prices[order[i : i + size]] = part
-
-    # a pool forks all max_workers processes at its first task: one per chunk at most
-    processes = min(workers, len(starts))
-    if processes <= 1:
-        place(map(_crr_put_batch, chunks, repeat(steps)))
-    else:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            place(pool.map(_crr_put_batch, chunks, repeat(steps)))
     return prices
 
 

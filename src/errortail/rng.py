@@ -6,7 +6,7 @@ derive their own 64-bit seeds from a master seed plus a short text label,
 which keeps stages independent: adding test sets, for example, never
 disturbs the training draw.
 
-Every count, seed, ``k`` and ``workers`` of the package passes one integer
+Every count, seed, ``k`` and step count of the package passes one integer
 rule, :func:`check_integer`; :func:`generator` applies it to its seed,
 with a minimum of 0. A master or training seed may be negative: it reaches
 a generator only through :func:`stage_seed`.

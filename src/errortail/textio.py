@@ -4,7 +4,9 @@ A table is optional ``# key=value`` comment lines recording how the file was
 produced, one header line, then one comma-separated row per line. Both
 readers skip blank lines and ``#`` comments and name the line of each error.
 Config files, fit files and the report's sections are ``key = value`` text,
-read by :func:`read_fields` and written by :func:`key_value_text`.
+read by :func:`read_fields` and written by :func:`key_value_text`. Every
+file the package writes goes through :func:`replacing`, so a write that fails
+leaves the old file as it was.
 
 numpy's C reader (``np.loadtxt``) parses a table's rows into one array, one
 line at a time, and no line number is kept per row: a check on the values
@@ -16,6 +18,8 @@ length; only its arrays do.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager, suppress
 from itertools import chain, islice
 from typing import Iterable, Iterator
 
@@ -38,6 +42,23 @@ def block_rows(array: np.ndarray) -> Iterator:
     return chain.from_iterable(array[i : i + BLOCK_ROWS].tolist() for i in starts)
 
 
+@contextmanager
+def replacing(path) -> Iterator:
+    """A text file to write in place of ``path``: a sibling temporary file,
+    opened as ``open(path, "w")`` would open ``path`` (so the umask sets its
+    mode), that replaces ``path`` once the body has written it all. If the body
+    raises, the temporary file is removed and ``path`` is left as it was."""
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+
+
 def write_table(
     path, header: str, rows: Iterable[str], comments: dict | None = None
 ) -> None:
@@ -50,7 +71,7 @@ def write_table(
     for comment in comments:
         if "\n" in comment or "\r" in comment:
             raise ValueError(f"a comment must fit on one line, got {comment!r}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(header + "\n")

@@ -35,7 +35,6 @@ from errortail.tail import (
 from errortail.textio import read_table
 
 TREE_TOL = 0.02  # USD
-PRICING_WORKERS = 2
 
 
 def _verdict(num: int, label: str, ok: bool, started: float) -> None:
@@ -101,7 +100,7 @@ def random_tail_cases(count: int = 200):
 def desk_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("desk") / "run"
     config = desk_scale_config(master_seed=0, output_dir=str(out_dir))
-    report = run_experiment(config, workers=PRICING_WORKERS)
+    report = run_experiment(config)
     return config, report
 
 
@@ -218,7 +217,7 @@ def test_criterion_08_pricing_oracle_properties():
     ok = True
 
     contracts = sample_uniform(C_TRAIN, 500, seed=801)
-    american = price_contracts(contracts, steps=1000, workers=PRICING_WORKERS)
+    american = price_contracts(contracts, steps=1000)
     for contract, amer in zip(contracts, american):
         eur = bs_european_put(contract)
         ok = ok and eur >= 0.0 and amer >= eur - TREE_TOL
@@ -260,8 +259,8 @@ def test_criterion_08_pricing_oracle_properties():
         )
         base_vol.append(OptionContract(*lead, vol_low))
         bump_vol.append(OptionContract(*lead, vol_low + float(g.uniform(0.02, 0.05))))
-    lo = price_contracts(base_k + base_vol, steps=1000, workers=PRICING_WORKERS)
-    hi = price_contracts(bump_k + bump_vol, steps=1000, workers=PRICING_WORKERS)
+    lo = price_contracts(base_k + base_vol, steps=1000)
+    hi = price_contracts(bump_k + bump_vol, steps=1000)
     ok = ok and bool(np.all(hi >= lo - 1e-9))
 
     probes = [OptionContract(1.0, 12.0, 0.05, 0.0, 0.2)] + sample_uniform(
@@ -370,7 +369,7 @@ def test_criterion_11_determinism_of_scaled_run(desk_run):
     before = {
         name: (Path(config.output_dir) / name).read_bytes() for name in names
     }
-    run_experiment(config, workers=PRICING_WORKERS)
+    run_experiment(config)
     ok = all(
         (Path(config.output_dir) / name).read_bytes() == before[name]
         for name in names

@@ -482,22 +482,12 @@ class TestExperimentCommand:
         assert "master_seed = 11" in report_text
         assert "k = 3" in report_text
 
-    def test_rejects_zero_workers(self, capsys, tmp_path):
-        # rejected by name before any pricing, not run serially
-        config_path = tmp_path / "config.txt"
-        config_path.write_text(
-            "config_version = 1\ntrain_samples = 1200\ntest_sets = 2\n"
-            "test_set_size = 800\nk = 3\ntree_steps = 30\nwidths = 5,6,6,6,1\n"
-        )
-        out_dir = tmp_path / "results"
-        code, _, err = run_cli(
-            capsys, "experiment", "--config", str(config_path), "--workers", "0",
-            "--out", str(out_dir),
-        )
-        assert code == 1
-        assert err == "error: workers must be >= 1, got 0\n"
-        # the whole configuration is checked before the output directory is made
-        assert not out_dir.exists()
+    def test_workers_is_not_an_option(self, capsys):
+        # pricing picks its own processes
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "--workers", "2"])
+        assert info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_rejects_malformed_config(self, capsys, tmp_path):
         config_path = tmp_path / "config.txt"

@@ -505,10 +505,11 @@ class TestRunExperiment:
                 a.per_set_errors[i].values, b.per_set_errors[i].values
             )
 
-    def test_workers_do_not_change_outputs(self, tiny_run, tmp_path):
+    def test_workers_do_not_change_outputs(self, tiny_run, tmp_path, force_pool):
         config, _ = tiny_run
         parallel = replace(config, output_dir=str(tmp_path / "parallel"))
-        run_experiment(parallel, workers=2)
+        force_pool()
+        run_experiment(parallel)
         assert (
             Path(config.output_dir, "figure1.csv").read_bytes()
             == Path(parallel.output_dir, "figure1.csv").read_bytes()
@@ -608,30 +609,14 @@ class TestGroupedPricing:
             assert same_bits(x, alone), label
             assert same_bits(prices, price_contracts(alone, steps=config.tree_steps)), label
 
-    def test_workers_open_one_pool_per_group(self, tmp_path, monkeypatch):
-        # a fake pool counts how often it is opened; 100 contracts a chunk
-        # gives every group more than one chunk, so each call opens a pool
-        opened = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_workers_open_one_pool_per_group(self, tmp_path, monkeypatch, force_pool, pools):
+        # 100 contracts a chunk gives every group more than one chunk, so
+        # each call opens a pool
         monkeypatch.setattr(experiment, "PRICING_GROUP", 1000)
-        monkeypatch.setattr(pricing, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pricing, "CHUNK_NODES", 100 * 41)  # 100 contracts at 40 steps
-        config = tiny_config(tmp_path, test_set_size=400)
-        run_experiment(config, workers=2)
-        assert opened == [2, 2, 2]  # 1,500 rows, then 800, then 400
+        force_pool()
+        run_experiment(tiny_config(tmp_path, test_set_size=400))
+        assert pools == [2, 2, 2]  # 1,500 rows, then 800, then 400
 
 
 class TestReportOracle:

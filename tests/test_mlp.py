@@ -253,7 +253,7 @@ class TestBlockedEvaluation:
         assert out.tobytes() == self.serial_forward_batch(model, x).tobytes()
 
     @pytest.mark.skipif(
-        mlp._openblas() is None or mlp._usable_cores() < 2,
+        mlp._openblas() is None or mlp.usable_cores() < 2,
         reason="the blocks run serially without the BLAS pin or a second core",
     )
     def test_long_call_spreads_its_blocks_over_threads(self, monkeypatch):
@@ -280,7 +280,7 @@ class TestBlockedEvaluation:
         # a whole-call pass over 20,000 rows at width 300 holds two
         # (20,000 x 300) activations, about 96 MB; with two threads, two
         # blocks are in flight, and each may hold 4 block activations
-        monkeypatch.setattr(mlp, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(mlp, "usable_cores", lambda: 2)
         rows, width = 20_000, 300
         model = init_model([5, width, width, width, 1], seed=24)
         x = contract_terms(sample_uniform(C_TRAIN, rows, seed=25))

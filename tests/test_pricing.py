@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -272,17 +273,18 @@ class TestTreePricer:
         scalar = np.array([crr_american_put(c, 100) for c in contracts])
         assert np.array_equal(batch, scalar)
 
-    def test_workers_do_not_change_bits(self):
+    def test_workers_do_not_change_bits(self, force_pool):
         # more than two chunks, the last one short, so the pool path runs
         steps = 100
         contracts = random_contracts(C_TRAIN, 2 * contracts_per_chunk(steps) + 5, seed=9)
         serial = price_contracts(contracts, steps)
         scalar = np.array([crr_american_put(c, steps) for c in contracts])
         assert np.array_equal(serial, scalar)
-        assert np.array_equal(price_contracts(contracts, steps, workers=2), serial)
+        force_pool()
+        assert np.array_equal(price_contracts(contracts, steps), serial)
 
     @pytest.mark.parametrize("steps", [1, 2, 20, 37, 500, 1000])
-    def test_matches_row_major_oracle_bitwise(self, steps):
+    def test_matches_row_major_oracle_bitwise(self, steps, force_pool):
         contracts = mixed_moneyness_contracts(steps)
         oracle = row_major_oracle(contracts, steps)
         chunk = contracts_per_chunk(steps)
@@ -291,9 +293,10 @@ class TestTreePricer:
         assert np.count_nonzero(deep_out) > chunk and np.all(oracle[deep_out] == 0.0)
         assert np.all(oracle[contracts[:, 0] >= 2.0] > 0.0)
         assert np.array_equal(price_contracts(contracts, steps), oracle)
-        assert np.array_equal(price_contracts(contracts, steps, workers=2), oracle)
         scalar = [crr_american_put(OptionContract._make(t), steps) for t in contracts.tolist()]
         assert np.array_equal(scalar, oracle)
+        force_pool()
+        assert np.array_equal(price_contracts(contracts, steps), oracle)
 
     def test_deterministic(self):
         contract = OptionContract(0.9, 11.5, 0.02, 0.01, 0.3)
@@ -331,7 +334,9 @@ class TestTreePricer:
         assert prices.shape == (32,)
         assert np.all(prices >= 0.0)
 
-    def test_arbitrage_is_checked_in_caller_order_before_any_pricing(self, monkeypatch):
+    def test_arbitrage_is_checked_in_caller_order_before_any_pricing(
+        self, monkeypatch, force_pool
+    ):
         # two bad rows in different chunks; the later row (r = 0) sorts
         # first, so a per-chunk check would name it
         steps = 500
@@ -349,9 +354,11 @@ class TestTreePricer:
         monkeypatch.setattr(pricing, "ProcessPoolExecutor", fail)
         monkeypatch.setattr(pricing, "_crr_put_batch", fail)
         message = rf"^row {early}: .*probability .*\[1\.4, 12\.0, 50\.0, 0\.0, 0\.1\]"
-        for workers in (None, 2):
-            with pytest.raises(ValueError, match=message):
-                price_contracts(terms, steps, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            price_contracts(terms, steps)
+        force_pool()
+        with pytest.raises(ValueError, match=message):
+            price_contracts(terms, steps)
 
     def test_rejects_bad_steps(self):
         contract = OptionContract(1.0, 12.0, 0.02, 0.0, 0.2)
@@ -363,30 +370,51 @@ class TestTreePricer:
             with pytest.raises(error, match="steps"):
                 price_contracts([contract], steps=steps)
 
-    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch):
-        # a fake pool records its size; a real one forks every process at once
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(pricing, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_at_most_one_process_per_chunk(self, monkeypatch, force_pool, pools):
+        # a real pool forks every process at once
         monkeypatch.setattr(pricing, "CHUNK_NODES", 3 * 21)  # 3 contracts at 20 steps
         terms = contract_terms(random_contracts(C_TEST, 7, seed=13))  # 3 chunks
         serial = price_contracts(terms, 20)
-        for workers in (8, 2, 1):
-            assert np.array_equal(price_contracts(terms, 20, workers=workers), serial)
-        assert sizes == [3, 2]
+        force_pool()
+        for cores in (8, 2, 1):
+            monkeypatch.setattr(pricing, "usable_cores", lambda: cores)
+            assert np.array_equal(price_contracts(terms, 20), serial)
+        assert pools == [3, 2]
+
+    @pytest.mark.parametrize("contracts, steps, pool", [
+        pytest.param(1_800, 500, [], id="experiment-ksweep-run"),
+        pytest.param(100_000, 20, [], id="surrogate-cli-test-set"),
+        pytest.param(1_500, 20, [], id="surrogate-cli-training-set"),
+        pytest.param(60_000, 500, [2], id="desk-run-group"),
+    ])
+    def test_only_a_large_call_takes_the_pool(self, contracts, steps, pool, monkeypatch, pools):
+        # the benchmark's calls stay in-process; a desk run's groups do not
+        monkeypatch.setattr(pricing, "usable_cores", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "fork")
+        monkeypatch.setattr(pricing, "_crr_put_batch", lambda tree, steps: tree[0])
+        price_contracts(np.tile(VALID_TERMS, (contracts, 1)), steps)
+        assert pools == pool
+
+    @pytest.mark.parametrize("blocker", ["daemonic", "spawn", "one-core"])
+    def test_prices_serially_where_it_may_not_fork(self, blocker, monkeypatch, force_pool):
+        # a daemonic process may not have children, spawn would re-import the
+        # caller's main module, and one core gains nothing
+        monkeypatch.setattr(pricing, "CHUNK_NODES", 3 * 21)  # 3 contracts at 20 steps
+        terms = contract_terms(random_contracts(C_TEST, 7, seed=13))  # 3 chunks
+        serial = price_contracts(terms, 20)
+        force_pool()
+        method = "spawn" if blocker == "spawn" else "fork"
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
+        if blocker == "daemonic":
+            monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+        if blocker == "one-core":
+            monkeypatch.setattr(pricing, "usable_cores", lambda: 1)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a pool was opened")
+
+        monkeypatch.setattr(pricing, "ProcessPoolExecutor", fail)
+        assert np.array_equal(price_contracts(terms, 20), serial)
 
     @pytest.mark.parametrize("steps", [1, 2, 20, 500, 1000, 65_535, 10**6])
     def test_chunk_rule_fits_the_node_budget(self, steps):
@@ -498,27 +526,9 @@ class TestPricedCsv:
             read_priced_csv(path)
 
 
-def _price_two_chunks(workers):
-    terms = np.tile(VALID_TERMS, (2 * contracts_per_chunk(1000), 1))
-    return price_contracts(terms, 1000, workers=workers)
-
-
-# inputs rejected before any contract is priced or any row written: a
-# workers value that is not an integer >= 1, prices that do not match the
-# contracts, and a table the reader rejects
+# inputs rejected before any contract is priced or any row written: prices
+# that do not match the contracts, and a table the reader rejects
 REJECTED_BEFORE_WORK = [
-    pytest.param(
-        lambda path: _price_two_chunks(0), ValueError, "workers must be >= 1, got 0",
-        id="workers-zero",
-    ),
-    pytest.param(
-        lambda path: _price_two_chunks(True), TypeError, "workers must be an integer, got True",
-        id="workers-bool",
-    ),
-    pytest.param(
-        lambda path: _price_two_chunks(2.5), TypeError, "workers must be an integer, got 2.5",
-        id="workers-float",
-    ),
     pytest.param(
         lambda path: write_priced_csv(path, [VALID_TERMS] * 2, [1.0, math.nan]), ValueError,
         "row 1: price must be finite and nonnegative, got nan", id="write-nan-price",

@@ -178,3 +178,27 @@ def test_writer_rejects_a_comment_that_breaks_the_line(comments, tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_table(path, "error", ["0.5"], {"ok": 1, **comments})
     assert not path.exists()
+
+
+def test_a_failed_write_leaves_the_old_file(tmp_path):
+    # the table goes to a sibling file that replaces the old one only once whole
+    path = tmp_path / "table.csv"
+    write_table(path, "error", ["0.5", "0.25"])
+    old = path.read_bytes()
+
+    def rows():
+        yield from ["1.5"] * (2 * BLOCK_ROWS)
+        raise RuntimeError("no more rows")
+
+    with pytest.raises(RuntimeError, match="no more rows"):
+        write_table(path, "error", rows())
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_written_file_takes_its_mode_from_the_umask(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text("error\n0.5\n")
+    path = tmp_path / "table.csv"
+    write_table(path, "error", ["0.5"])
+    assert path.stat().st_mode == plain.stat().st_mode
